@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "backend/aggregate.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace wlm;
@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
     config.fleet.epoch = deploy::Epoch::kJan2015;
     config.fleet.network_count = networks;
     config.seed = 31337;
-    sim::World world(config);
-    world.run_usage_week(7, spikes);
-    world.harvest();
+    sim::FleetRunner runner(config);
+    runner.run_usage_week(7, spikes);
+    runner.harvest();
     // Daily fleet download bytes from the report store.
     std::vector<double> daily(7, 0.0);
-    world.store().for_each([&](const wire::ApReport& report) {
+    runner.reports().for_each([&](const wire::ApReport& report) {
       const auto day = static_cast<std::size_t>(
           report.timestamp_us / Duration::days(1).as_micros());
       if (day >= daily.size()) return;

@@ -2,9 +2,10 @@
 // encode/decode, framing, medium observation, and the probe window.
 //
 // The custom main additionally runs the two-tier classification contrast
-// (RuleIndex + VerdictCache vs the kReference linear engine on the same
-// fragment stream) and appends one JSON record to $WLM_CLASSIFY_BENCH_JSON
-// (default ./BENCH_classify.json): flows/s in both modes, the speedup, the
+// (RuleIndex + VerdictCache vs the linear reference,
+// RuleSet::classify(extract_metadata(...)), on the same fragment stream)
+// and appends one JSON record to $WLM_CLASSIFY_BENCH_JSON
+// (default ./BENCH_classify.json): flows/s for both, the speedup, the
 // cache hit/miss/evict counters, and the slow-path latency histogram.
 // $WLM_CLASSIFY_BENCH_FLOWS overrides the stream size.
 //
@@ -21,6 +22,7 @@
 
 #include "backend/poller.hpp"
 #include "classify/classifier.hpp"
+#include "classify/rules.hpp"
 #include "classify/verdict_cache.hpp"
 #include "mac/medium.hpp"
 #include "phy/modulation.hpp"
@@ -40,10 +42,11 @@ std::vector<classify::FlowSample> make_samples(std::size_t n) {
   Rng rng{7};
   std::vector<classify::FlowSample> samples;
   const auto catalog = classify::app_catalog();
+  traffic::GeneratedFlow flow;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& info = catalog[1 + rng.next_u64() % (catalog.size() - 1)];
-    samples.push_back(
-        gen.make_flow(info.id, classify::OsType::kWindows, 1000, 9000).sample);
+    gen.make_flow_into(info.id, classify::OsType::kWindows, 1000, 9000, flow);
+    samples.push_back(flow.sample);
   }
   return samples;
 }
@@ -74,8 +77,8 @@ FragmentStream make_fragment_stream(std::size_t n_flows) {
   for (std::size_t i = 0; i < n_flows; ++i) {
     const auto& info = catalog[rng.next_u64() % catalog.size()];
     const auto os = static_cast<classify::OsType>(i % classify::kOsTypeCount);
-    stream.flows.push_back(gen.make_flow(info.id, os, rng.next_u64() % (1u << 22),
-                                         rng.next_u64() % (1u << 26)));
+    gen.make_flow_into(info.id, os, rng.next_u64() % (1u << 22), rng.next_u64() % (1u << 26),
+                       stream.flows.emplace_back());
     const auto& flow = stream.flows.back();
     stream.keys.push_back(classify::FlowKey{
         0xB16'0000'0000ULL + i, static_cast<std::uint32_t>(i % 251), flow.dst_host,
@@ -98,27 +101,29 @@ std::uint64_t run_stream(classify::TwoTierClassifier& tier, const FragmentStream
   return acc;
 }
 
+/// The same stream through the linear reference: every fragment reparsed
+/// and scanned against the whole rule list, no index and no cache.
+std::uint64_t run_stream_reference(const FragmentStream& stream) {
+  std::uint64_t acc = 0;
+  for (const auto& flow : stream.flows) {
+    for (std::uint16_t f = 0; f < flow.fragments; ++f) {
+      acc += static_cast<std::uint64_t>(
+          classify::RuleSet::standard().classify(classify::extract_metadata(flow.sample)));
+    }
+  }
+  return acc;
+}
+
 void BM_ClassifyTwoTierIndexed(benchmark::State& state) {
   const auto stream = make_fragment_stream(512);
   for (auto _ : state) {
-    classify::TwoTierClassifier tier(classify::ClassifierMode::kIndexed);
+    classify::TwoTierClassifier tier;
     benchmark::DoNotOptimize(run_stream(tier, stream));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.fragments));
 }
 BENCHMARK(BM_ClassifyTwoTierIndexed);
-
-void BM_ClassifyTwoTierReference(benchmark::State& state) {
-  const auto stream = make_fragment_stream(512);
-  for (auto _ : state) {
-    classify::TwoTierClassifier tier(classify::ClassifierMode::kReference);
-    benchmark::DoNotOptimize(run_stream(tier, stream));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.fragments));
-}
-BENCHMARK(BM_ClassifyTwoTierReference);
 
 // The JSON contrast record the CI smoke checks: one timed pass per mode
 // over an identical stream, verdict checksums compared as a sanity gate.
@@ -129,19 +134,18 @@ void emit_classify_contrast() {
   }
   const auto stream = make_fragment_stream(n_flows);
 
-  const auto timed = [&](classify::TwoTierClassifier& tier) {
+  const auto timed = [&](const auto& run) {
     const auto start = std::chrono::steady_clock::now();
-    const auto checksum = run_stream(tier, stream);
+    const auto checksum = run();
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
     return std::pair<std::uint64_t, double>{checksum, static_cast<double>(ns) / 1e9};
   };
 
-  classify::TwoTierClassifier indexed(classify::ClassifierMode::kIndexed);
-  classify::TwoTierClassifier reference(classify::ClassifierMode::kReference);
-  const auto [sum_fast, s_fast] = timed(indexed);
-  const auto [sum_ref, s_ref] = timed(reference);
+  classify::TwoTierClassifier indexed;
+  const auto [sum_fast, s_fast] = timed([&] { return run_stream(indexed, stream); });
+  const auto [sum_ref, s_ref] = timed([&] { return run_stream_reference(stream); });
   if (sum_fast != sum_ref) {
     std::fprintf(stderr, "bench_classify: verdict checksum mismatch (%llu != %llu)\n",
                  static_cast<unsigned long long>(sum_fast),

@@ -5,7 +5,7 @@
 
 #include "backend/aggregate.hpp"
 #include "core/stats.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main() {
   using namespace wlm;
@@ -16,24 +16,24 @@ int main() {
   config.fleet.epoch = deploy::Epoch::kJan2015;
   config.fleet.network_count = 20;
   config.seed = 42;
-  sim::World world(config);
-  std::printf("world: %d APs, %zu clients, %zu mesh links\n", world.fleet().total_aps(),
-              world.client_count(), world.mesh_links().size());
+  sim::FleetRunner runner(config);
+  std::printf("world: %d APs, %zu clients, %zu mesh links\n", runner.fleet().total_aps(),
+              runner.client_count(), runner.mesh_links().size());
 
   // 2. Run the measurement campaigns: client usage for a week, one
   //    interference snapshot, and the mesh link probes.
-  world.run_usage_week();
-  world.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
-  world.run_link_windows(SimTime::epoch() + Duration::hours(14));
+  runner.run_usage_week();
+  runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
+  runner.run_link_windows(SimTime::epoch() + Duration::hours(14));
 
   // 3. Collect: every report flows tunnel -> poller -> store.
-  world.harvest();
-  std::printf("backend store: %zu reports from %zu APs\n", world.reports().report_count(),
-              world.reports().ap_count());
+  runner.harvest();
+  std::printf("backend store: %zu reports from %zu APs\n", runner.reports().report_count(),
+              runner.reports().ap_count());
 
   // 4. Ask questions. Who used the most data this week?
   backend::UsageAggregator agg;
-  agg.consume(world.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
+  agg.consume(runner.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
   std::uint64_t best_total = 0;
   classify::OsType best_os = classify::OsType::kUnknown;
   for (const auto& [mac, client] : agg.clients()) {
@@ -47,7 +47,7 @@ int main() {
 
   // 5. And how busy is the spectrum?
   RunningStats util;
-  world.reports().for_each([&](const wire::ApReport& report) {
+  runner.reports().for_each([&](const wire::ApReport& report) {
     for (const auto& u : report.utilization) {
       if (u.band == 0 && u.cycle_us > 0) {
         util.add(static_cast<double>(u.busy_us) / static_cast<double>(u.cycle_us));

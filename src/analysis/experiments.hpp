@@ -11,13 +11,11 @@
 #include <vector>
 
 #include "backend/aggregate.hpp"
-#include "classify/rule_index.hpp"
 #include "core/stats.hpp"
 #include "deploy/epoch.hpp"
 #include "fault/loss_ledger.hpp"
 #include "mac/mesh.hpp"
 #include "mobility/mobility.hpp"
-#include "phy/per_table.hpp"
 
 namespace wlm::analysis {
 
@@ -30,14 +28,6 @@ struct ScenarioScale {
   /// Worker threads for the fleet runtime; output is identical for any
   /// value (see sim::FleetRunner's determinism contract).
   int threads = 1;
-  /// Classification engine the simulated APs run. Every rendered table is
-  /// byte-identical in both modes; kReference exists as the differential
-  /// oracle (and for benchmarking the fast path against it).
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// PER evaluation path mesh links use (same oracle pattern: kTable is
-  /// the lookup fast path, kReference the scalar oracle, outputs are
-  /// byte-identical in both).
-  phy::PerMode per_mode = phy::PerMode::kTable;
   /// Streaming-harvest memory ceiling in MiB (0 = classic hold-until-final
   /// harvest). Renders are byte-identical for any FIXED value; see
   /// sim::WorldConfig::mem_ceiling_mb.

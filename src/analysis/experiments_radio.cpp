@@ -24,8 +24,6 @@ sim::WorldConfig radio_world_config(const ScenarioScale& scale, deploy::Epoch ep
   cfg.client_scale = scale.client_scale;
   cfg.seed = scale.seed * 2654435761ULL + 17 + static_cast<std::uint64_t>(epoch);
   cfg.threads = scale.threads;
-  cfg.classifier = scale.classifier;
-  cfg.per_mode = scale.per_mode;
   cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
   cfg.spill_dir = scale.spill_dir;
   return cfg;

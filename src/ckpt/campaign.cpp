@@ -136,9 +136,6 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
     if (!load_fleet_segments(c, runner->fleet_tsdb()) || !c.at_end()) {
       return section_error(c, "fleet store");
     }
-    // The legacy row view materializes from the adopted segments on first
-    // store() access.
-    runner->invalidate_store_view();
   } else {
     return {Status::kMalformed, "missing fleet store section"};
   }

@@ -25,7 +25,7 @@
 //
 // What is deliberately NOT captured: wall-clock profiler data (real time
 // is not simulated state), event-queue callbacks (std::function does not
-// serialize; World-level checkpoints cut at drained-queue points and keep
+// serialize; campaign checkpoints cut at drained-queue points and keep
 // only the ClockState), and the thread count.
 #pragma once
 

@@ -82,8 +82,12 @@ enum class SectionTag : std::uint64_t {
 // knobs, and shard sections append a mesh block (mesh RNG, the phase's
 // routing table, per-AP relay busy horizons, and the partition-drop count)
 // when mesh is enabled, so a restored run relays over the same drifted
-// topology. Older versions fail kBadVersion.
-inline constexpr std::uint32_t kFormatVersion = 6;
+// topology. Version 7: the config section drops the legacy WAN-flap
+// shorthand (FaultSpec carries the flap fraction), the classifier mode, the
+// verdict-cache capacity and the retry backoff, and shard sections drop the
+// classifier mode word: production runs one classifier with a fixed cache
+// bound and a fixed backoff. Older versions fail kBadVersion.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Append-only payload builder. Scalars are varints (zigzag for signed),
 /// doubles are 8-byte LE bit patterns (exact round-trip, no printf loss),

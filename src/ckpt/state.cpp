@@ -843,7 +843,6 @@ bool load_recorder(Cursor& c, telemetry::FlightRecorder& recorder) {
 // --- two-tier classifier ---
 
 void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier) {
-  b.u64(static_cast<std::uint64_t>(classifier.mode()));
   b.u64(classifier.slow_path_calls());
   const auto& stats = classifier.cache().stats();
   b.u64(stats.hits);
@@ -863,12 +862,6 @@ void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier) {
 }
 
 bool load_classifier(Cursor& c, classify::TwoTierClassifier& classifier) {
-  const std::uint64_t mode = c.u64();
-  if (mode > static_cast<std::uint64_t>(classify::ClassifierMode::kIndexed)) c.fail();
-  if (!c.ok()) return false;
-  // The mode travels in the config section too; a shard section disagreeing
-  // with the rebuilt world is a config mismatch, not corruption.
-  if (mode != static_cast<std::uint64_t>(classifier.mode())) return false;
   const std::uint64_t slow_calls = c.u64();
   classify::VerdictCache::Stats stats;
   stats.hits = c.u64();
@@ -920,13 +913,9 @@ void save_world_config(Buf& b, const sim::WorldConfig& config) {
   for (const double d : config.fleet.density_mix) b.f64(d);
   b.f64(config.client_scale);
   b.u64(config.seed);
-  b.f64(config.wan_flap_fraction);
   save_fault_spec(b, config.faults);
-  b.u64(static_cast<std::uint64_t>(config.classifier));
-  b.u64(config.verdict_cache_capacity);
   b.u64(config.supervision.max_shard_retries);
   b.f64(config.supervision.shard_deadline_hours);
-  b.f64(config.supervision.retry_backoff_hours);
   b.boolean(config.supervision.capture_checkpoints);
   // v4: the streaming-harvest bit. Whether the campaign drains shards at
   // phase boundaries is simulated state (it adds poll cycles), so a resume
@@ -976,16 +965,7 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
   cfg.client_scale = c.f64();
   if (!(cfg.client_scale >= 0.0 && cfg.client_scale <= 1e6)) c.fail();
   cfg.seed = c.u64();
-  cfg.wan_flap_fraction = c.f64();
-  if (!(cfg.wan_flap_fraction >= 0.0 && cfg.wan_flap_fraction <= 1.0)) c.fail();
   if (!load_fault_spec(c, cfg.faults)) return false;
-  const std::uint64_t mode = c.u64();
-  if (mode > static_cast<std::uint64_t>(classify::ClassifierMode::kIndexed)) c.fail();
-  cfg.classifier = static_cast<classify::ClassifierMode>(mode);
-  const std::uint64_t capacity = c.u64();
-  // A corrupted capacity must not balloon the rebuilt caches.
-  if (capacity < 1 || capacity > 100'000'000) c.fail();
-  cfg.verdict_cache_capacity = static_cast<std::size_t>(capacity);
   cfg.supervision.max_shard_retries = c.u64();
   // Each retry can serialize + restore a whole shard; an absurd count is
   // corruption, not a scenario.
@@ -993,11 +973,6 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
   cfg.supervision.shard_deadline_hours = c.f64();
   if (!(cfg.supervision.shard_deadline_hours >= 0.0) ||
       std::isinf(cfg.supervision.shard_deadline_hours)) {
-    c.fail();
-  }
-  cfg.supervision.retry_backoff_hours = c.f64();
-  if (!(cfg.supervision.retry_backoff_hours >= 0.0) ||
-      std::isinf(cfg.supervision.retry_backoff_hours)) {
     c.fail();
   }
   cfg.supervision.capture_checkpoints = c.boolean();

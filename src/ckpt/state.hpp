@@ -51,7 +51,7 @@ void save_rng(Buf& b, const Rng::State& s);
 void save_link(Buf& b, const sim::MeshLink::State& s);
 [[nodiscard]] bool load_link(Cursor& c, sim::MeshLink::State& out);
 
-// --- event-queue clock (sim::World checkpoints cut at drained-queue
+// --- event-queue clock (campaign checkpoints cut at drained-queue
 // points; pending callbacks are process state and are documented as not
 // captured) ---
 void save_clock(Buf& b, const sim::EventQueue::ClockState& s);
@@ -112,7 +112,7 @@ void save_recorder(Buf& b, const telemetry::FlightRecorder& recorder);
 [[nodiscard]] bool load_recorder(Cursor& c, telemetry::FlightRecorder& recorder);
 
 // --- two-tier classifier (verdict cache contents in FIFO order + stats +
-// slow-path counter; the mode is validated against the rebuilt shard) ---
+// slow-path counter) ---
 void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier);
 [[nodiscard]] bool load_classifier(Cursor& c, classify::TwoTierClassifier& classifier);
 

@@ -140,32 +140,27 @@ FlowMetadata extract_metadata(const FlowSample& sample) {
   meta.dst_port = sample.dst_port;
 
   if (!sample.dns_packet.empty()) {
-    if (const auto dns = parse_dns(sample.dns_packet)) {
-      if (!dns->questions.empty()) meta.dns_hostname = dns->questions.front().qname;
+    DnsMessage dns;
+    if (parse_dns_into(sample.dns_packet, dns) == ParseError::kNone && !dns.questions.empty()) {
+      meta.dns_hostname = dns.questions.front().qname;
     }
   }
   if (!sample.first_payload.empty()) {
     // TLS first (binary, unambiguous), then HTTP, then the entropy test.
-    if (const auto hello = parse_client_hello(sample.first_payload)) {
+    ClientHelloInfo hello;
+    HttpRequestHead http;
+    const std::string_view text(reinterpret_cast<const char*>(sample.first_payload.data()),
+                                sample.first_payload.size());
+    if (parse_client_hello_into(sample.first_payload, hello) == ParseError::kNone) {
       meta.saw_tls = true;
-      meta.sni = hello->sni;
+      meta.sni = hello.sni;
+    } else if (parse_http_request_into(text, http) == ParseError::kNone) {
+      meta.http_host = http.host;
+      meta.http_content_type = http.content_type;
     } else {
-      const std::string_view text(reinterpret_cast<const char*>(sample.first_payload.data()),
-                                  sample.first_payload.size());
-      if (const auto http = parse_http_request(text)) {
-        meta.http_host = http->host;
-        meta.http_content_type = http->content_type;
-      } else {
-        meta.high_entropy = payload_high_entropy(sample.first_payload);
-      }
+      meta.high_entropy = payload_high_entropy(sample.first_payload);
     }
   }
-  return meta;
-}
-
-FlowMetadata extract_metadata_fast(const FlowSample& sample) {
-  FlowMetadata meta;
-  extract_metadata_fast_into(sample, meta);
   return meta;
 }
 

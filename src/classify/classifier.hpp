@@ -57,12 +57,10 @@ struct FlowSample {
 /// (0x16 -> TLS, token/space/tab -> HTTP, else entropy) instead of running
 /// the full TLS -> HTTP -> entropy cascade. Equivalence holds because a
 /// parsable TLS record must start 0x16 and a parsable HTTP request line must
-/// start with a token char after optional space/tab padding.
-[[nodiscard]] FlowMetadata extract_metadata_fast(const FlowSample& sample);
-
-/// Same extraction into a caller-owned metadata object whose strings keep
-/// their capacity — the hot classify loop reuses one across all flows.
-/// Every field of `meta` is overwritten.
+/// start with a token char after optional space/tab padding. Writes into a
+/// caller-owned metadata object whose strings keep their capacity — the hot
+/// classify loop reuses one across all flows. Every field of `meta` is
+/// overwritten.
 void extract_metadata_fast_into(const FlowSample& sample, FlowMetadata& meta);
 
 /// Convenience: extract + classify.

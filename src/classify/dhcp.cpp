@@ -108,10 +108,6 @@ Parsed<DhcpPacket> parse_dhcp_ex(std::span<const std::uint8_t> data) {
   return Result::success(std::move(packet));
 }
 
-std::optional<DhcpPacket> parse_dhcp(std::span<const std::uint8_t> data) {
-  return parse_dhcp_ex(data).value;
-}
-
 std::string canonical_vendor_class(OsType os) {
   switch (os) {
     case OsType::kWindows:

@@ -43,9 +43,6 @@ struct DhcpPacket {
 /// classifier works from partial captures).
 [[nodiscard]] Parsed<DhcpPacket> parse_dhcp_ex(std::span<const std::uint8_t> data);
 
-/// Optional-returning wrapper around parse_dhcp_ex.
-[[nodiscard]] std::optional<DhcpPacket> parse_dhcp(std::span<const std::uint8_t> data);
-
 /// The vendor class string each OS's DHCP client sends (option 60).
 [[nodiscard]] std::string canonical_vendor_class(OsType os);
 

@@ -129,8 +129,4 @@ Parsed<DnsMessage> parse_dns_ex(std::span<const std::uint8_t> packet) {
   return Parsed<DnsMessage>::success(std::move(msg));
 }
 
-std::optional<DnsMessage> parse_dns(std::span<const std::uint8_t> packet) {
-  return parse_dns_ex(packet).value;
-}
-
 }  // namespace wlm::classify

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,8 +51,5 @@ void encode_dns_query_into(std::uint16_t id, std::string_view qname,
 /// strings) keep their capacity across packets — for the classifier's hot
 /// loop. Returns kNone on success; `out` is unspecified on failure.
 ParseError parse_dns_into(std::span<const std::uint8_t> packet, DnsMessage& out);
-
-/// Optional-returning wrapper around parse_dns_ex (legacy entry point).
-[[nodiscard]] std::optional<DnsMessage> parse_dns(std::span<const std::uint8_t> packet);
 
 }  // namespace wlm::classify

@@ -103,10 +103,6 @@ Parsed<HttpRequestHead> parse_http_request_ex(std::string_view payload) {
   return Result::success(std::move(head));
 }
 
-std::optional<HttpRequestHead> parse_http_request(std::string_view payload) {
-  return parse_http_request_ex(payload).value;
-}
-
 std::string build_http_request(std::string_view method, std::string_view host,
                                std::string_view path, std::string_view user_agent,
                                std::string_view content_type) {

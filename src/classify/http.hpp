@@ -2,7 +2,6 @@
 // HTTP headers" (paper §2.1) to pull Host and User-Agent for classification.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -34,9 +33,6 @@ struct HttpRequestHead {
 /// the classifier's hot loop reuses one head across millions of flows. All
 /// fields are cleared first; returns kNone on success.
 ParseError parse_http_request_into(std::string_view payload, HttpRequestHead& out);
-
-/// Optional-returning wrapper around parse_http_request_ex.
-[[nodiscard]] std::optional<HttpRequestHead> parse_http_request(std::string_view payload);
 
 /// Builds a request head for the traffic generator.
 [[nodiscard]] std::string build_http_request(std::string_view method, std::string_view host,

@@ -12,8 +12,8 @@
 //     option-55 fingerprints, populated *by running the reference
 //     functions at build time* so hits are identical by construction.
 //
-// The linear RuleSet stays available behind ClassifierMode::kReference as
-// the differential-testing oracle.
+// The linear RuleSet stays as the reference the index is built from; tests
+// call it directly as the differential-testing oracle.
 #pragma once
 
 #include <cstdint>
@@ -31,25 +31,6 @@
 #include "classify/rules.hpp"
 
 namespace wlm::classify {
-
-/// Which engine the two-tier classifier runs for slow-path verdicts.
-enum class ClassifierMode : std::uint8_t {
-  kReference = 0,  // linear RuleSet scan + full reparse of every fragment
-  kIndexed = 1,    // compiled RuleIndex + per-flow VerdictCache
-};
-
-[[nodiscard]] constexpr std::string_view classifier_mode_name(ClassifierMode mode) {
-  switch (mode) {
-    case ClassifierMode::kReference:
-      return "reference";
-    case ClassifierMode::kIndexed:
-      return "indexed";
-  }
-  return "invalid";
-}
-
-/// Parses "reference" / "indexed"; nullopt otherwise.
-[[nodiscard]] std::optional<ClassifierMode> classifier_mode_from_name(std::string_view name);
 
 class RuleIndex {
  public:

@@ -177,8 +177,4 @@ Parsed<ClientHelloInfo> parse_client_hello_ex(std::span<const std::uint8_t> reco
   return Result::success(std::move(info));
 }
 
-std::optional<ClientHelloInfo> parse_client_hello(std::span<const std::uint8_t> record) {
-  return parse_client_hello_ex(record).value;
-}
-
 }  // namespace wlm::classify

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,9 +41,5 @@ void build_client_hello_into(std::string_view sni, std::uint64_t random32,
 /// across records — for the classifier's hot loop. Returns kNone on
 /// success; `out` holds default values for absent fields either way.
 ParseError parse_client_hello_into(std::span<const std::uint8_t> record, ClientHelloInfo& out);
-
-/// Optional-returning wrapper around parse_client_hello_ex.
-[[nodiscard]] std::optional<ClientHelloInfo> parse_client_hello(
-    std::span<const std::uint8_t> record);
 
 }  // namespace wlm::classify

@@ -78,30 +78,18 @@ void SlowPathProfile::record(std::uint64_t ns) {
   total_ns += ns;
 }
 
-TwoTierClassifier::TwoTierClassifier(ClassifierMode mode, std::size_t cache_capacity)
-    : mode_(mode), cache_(cache_capacity) {}
+TwoTierClassifier::TwoTierClassifier(std::size_t cache_capacity) : cache_(cache_capacity) {}
 
 AppId TwoTierClassifier::classify(const FlowKey& key, const FlowSample& sample) {
-  if (mode_ == ClassifierMode::kReference) return classify_slow(sample);
   if (const auto verdict = cache_.lookup(key)) return *verdict;
-  const AppId verdict = classify_slow(sample);
-  cache_.record(key, verdict);
-  return verdict;
-}
-
-AppId TwoTierClassifier::classify_slow(const FlowSample& sample) {
   const auto start = std::chrono::steady_clock::now();
-  AppId verdict;
-  if (mode_ == ClassifierMode::kIndexed) {
-    extract_metadata_fast_into(sample, meta_scratch_);
-    verdict = RuleIndex::standard().classify(meta_scratch_);
-  } else {
-    verdict = RuleSet::standard().classify(extract_metadata(sample));
-  }
+  extract_metadata_fast_into(sample, meta_scratch_);
+  const AppId verdict = RuleIndex::standard().classify(meta_scratch_);
   const auto end = std::chrono::steady_clock::now();
   ++slow_path_calls_;
   profile_.record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()));
+  cache_.record(key, verdict);
   return verdict;
 }
 

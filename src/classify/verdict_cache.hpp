@@ -123,22 +123,18 @@ struct SlowPathProfile {
   }
 };
 
-/// The two-tier classifier: slow path (parse + rule match) plus the verdict
-/// cache fast path. kReference mode bypasses both index and cache, running
-/// the legacy linear engine on every fragment — the differential oracle.
+/// The two-tier classifier: slow path (parse + compiled rule match) plus the
+/// verdict cache fast path. Its verdicts equal
+/// RuleSet::standard().classify(extract_metadata(sample)), the linear
+/// reference the differential tests call directly.
 class TwoTierClassifier {
  public:
-  explicit TwoTierClassifier(ClassifierMode mode = ClassifierMode::kIndexed,
-                             std::size_t cache_capacity = VerdictCache::kDefaultCapacity);
+  explicit TwoTierClassifier(std::size_t cache_capacity = VerdictCache::kDefaultCapacity);
 
-  /// Classifies one observed fragment of the flow. Indexed mode consults the
-  /// cache first; reference mode reparses every time.
+  /// Classifies one observed fragment of the flow: a cached verdict, or a
+  /// slow-path pass (parse + compiled rule match) whose verdict is cached.
   [[nodiscard]] AppId classify(const FlowKey& key, const FlowSample& sample);
 
-  /// One uncached slow-path pass in the configured mode (used by benches).
-  [[nodiscard]] AppId classify_slow(const FlowSample& sample);
-
-  [[nodiscard]] ClassifierMode mode() const { return mode_; }
   [[nodiscard]] VerdictCache& cache() { return cache_; }
   [[nodiscard]] const VerdictCache& cache() const { return cache_; }
   [[nodiscard]] std::uint64_t slow_path_calls() const { return slow_path_calls_; }
@@ -148,11 +144,10 @@ class TwoTierClassifier {
   void restore(std::uint64_t slow_path_calls) { slow_path_calls_ = slow_path_calls; }
 
  private:
-  ClassifierMode mode_;
   VerdictCache cache_;
   std::uint64_t slow_path_calls_ = 0;
   SlowPathProfile profile_;
-  FlowMetadata meta_scratch_;  // reused across indexed slow-path calls
+  FlowMetadata meta_scratch_;  // reused across slow-path calls
 };
 
 }  // namespace wlm::classify

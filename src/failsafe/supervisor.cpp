@@ -151,7 +151,7 @@ void ShardSupervisor::recover(std::size_t shard, std::string_view phase,
     // Backoff is a recorded sim-time penalty (base doubling per retry), not
     // a wall-clock sleep — determinism forbids waiting.
     incident.backoff_hours +=
-        config_.retry_backoff_hours * static_cast<double>(1ULL << incident.retries);
+        kRetryBackoffHours * static_cast<double>(1ULL << incident.retries);
     ++incident.retries;
     try {
       const ScopedShardContext ctx(network, config_.shard_deadline_hours);
@@ -200,7 +200,7 @@ bool ShardSupervisor::guard_merge(std::size_t shard, std::int64_t sim_now_us) {
       incident.error = current_exception_what();
       if (incident.retries >= config_.max_shard_retries) break;
       incident.backoff_hours +=
-          config_.retry_backoff_hours * static_cast<double>(1ULL << incident.retries);
+          kRetryBackoffHours * static_cast<double>(1ULL << incident.retries);
       ++incident.retries;
     }
   }

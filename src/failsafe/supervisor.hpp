@@ -36,14 +36,15 @@
 
 namespace wlm::failsafe {
 
+/// First retry's sim-time penalty; doubles per subsequent retry.
+inline constexpr double kRetryBackoffHours = 1.0;
+
 struct SupervisorConfig {
   /// Restore-and-rerun attempts per shard failure before quarantine.
   std::uint64_t max_shard_retries = 2;
   /// Sim-hours of injected stall a shard may accumulate per phase before
   /// the watchdog trips (0 disables the watchdog).
   double shard_deadline_hours = 0.0;
-  /// First retry's sim-time penalty; doubles per subsequent retry.
-  double retry_backoff_hours = 1.0;
   /// Capture a per-shard state snapshot at each phase boundary so retry can
   /// restore. Off by default (snapshots cost time and memory); wlmctl turns
   /// it on whenever a supervision flag is present. Without snapshots a

@@ -52,16 +52,6 @@ double PerTable::interpolated(double sinr_db) const {
   return per_[i] + t * (per_[i + 1] - per_[i]);
 }
 
-const char* per_mode_name(PerMode mode) {
-  return mode == PerMode::kReference ? "reference" : "table";
-}
-
-std::optional<PerMode> per_mode_from_name(std::string_view name) {
-  if (name == "reference") return PerMode::kReference;
-  if (name == "table") return PerMode::kTable;
-  return std::nullopt;
-}
-
 const PerTable& probe_per_table(Modulation m) {
   // Probe frames are 60 bytes on both bands (sim/link.cpp). Magic statics
   // make the first lookup build the tables exactly once, thread-safely;
@@ -69,6 +59,20 @@ const PerTable& probe_per_table(Modulation m) {
   static const PerTable dsss1{Modulation::kDsss1, 60};
   static const PerTable ofdm6{Modulation::kOfdm6, 60};
   return m == Modulation::kOfdm6 ? ofdm6 : dsss1;
+}
+
+bool probe_delivered(Modulation m, double sinr_db, double p_collision, double u) {
+  const PerTable& table = probe_per_table(m);
+  if (table.modulation() == m) {
+    if (const auto b = table.bounds(sinr_db)) {
+      const double p_lo = (1.0 - b->hi) * (1.0 - p_collision);
+      const double p_hi = (1.0 - b->lo) * (1.0 - p_collision);
+      if (u < p_lo) return true;
+      if (u >= p_hi) return false;
+    }
+  }
+  const double per = packet_error_rate(m, sinr_db, 60);
+  return u < (1.0 - per) * (1.0 - p_collision);
 }
 
 PerTableSet::PerTableSet(int payload_bytes) : payload_bytes_(payload_bytes) {

@@ -23,20 +23,11 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "phy/modulation.hpp"
 
 namespace wlm::phy {
-
-/// Which PER evaluation path the simulation uses. kReference keeps the
-/// verbatim scalar computation as the differential oracle; kTable is the
-/// production fast path. All outputs are byte-identical in both modes.
-enum class PerMode : std::uint8_t {
-  kReference,
-  kTable,
-};
 
 /// Guaranteed bracket around the exact scalar PER at some SINR.
 struct PerBounds {
@@ -102,15 +93,18 @@ class PerTable {
   std::array<double, kGridPoints - 1> hi_{};   // widened interval upper bounds
 };
 
-/// CLI name for a mode ("reference" / "table") and the inverse mapping;
-/// nullopt for unknown names.
-[[nodiscard]] const char* per_mode_name(PerMode mode);
-[[nodiscard]] std::optional<PerMode> per_mode_from_name(std::string_view name);
-
 /// Shared probe-frame tables (payload 60 bytes — the mesh link probe size):
 /// DSSS 1 for 2.4 GHz, OFDM 6 for 5 GHz. Built once, never mutated after,
 /// safe to share across shard threads.
 [[nodiscard]] const PerTable& probe_per_table(Modulation m);
+
+/// One mesh-link probe's fate, bit-for-bit
+/// `u < (1 - packet_error_rate(m, sinr_db, 60)) * (1 - p_collision)`.
+/// Delivery is monotone decreasing in PER, so the probe table's PER bracket
+/// maps to a delivery bracket that decides most draws without pow/erfc; the
+/// rest (off-grid SINRs, draws inside the bracket, modulations without a
+/// probe table) compute the scalar PER.
+[[nodiscard]] bool probe_delivered(Modulation m, double sinr_db, double p_collision, double u);
 
 /// All twelve rate tables for one payload size (rate-control sweeps).
 class PerTableSet {

@@ -1,5 +1,5 @@
 // A small discrete-event engine: a time-ordered queue of callbacks with
-// support for periodic events. The campaign runners in World use fixed
+// support for periodic events. The campaign runners in FleetRunner use fixed
 // cadences directly for speed; this engine drives the finer-grained
 // examples and integration tests.
 #pragma once

@@ -21,13 +21,6 @@ FleetRunner::FleetRunner(WorldConfig config)
   // value instead of silently producing nonsense (negative client counts,
   // chance() calls outside [0,1]).
   if (!(config_.client_scale > 0.0)) config_.client_scale = 0.0;  // also catches NaN
-  if (!(config_.wan_flap_fraction > 0.0)) config_.wan_flap_fraction = 0.0;
-  if (config_.wan_flap_fraction > 1.0) config_.wan_flap_fraction = 1.0;
-  // Legacy flap shorthand folds into the fault spec; an explicit
-  // faults.flap_fraction wins.
-  if (config_.wan_flap_fraction > 0.0 && config_.faults.flap_fraction == 0.0) {
-    config_.faults.flap_fraction = config_.wan_flap_fraction;
-  }
   config_.faults = config_.faults.clamped();
   config_.mobility = config_.mobility.clamped();
   config_.mesh = config_.mesh.clamped();
@@ -43,9 +36,6 @@ FleetRunner::FleetRunner(WorldConfig config)
   shard_config.client_scale = config_.client_scale;
   shard_config.seed = config_.seed;
   shard_config.faults = config_.faults;
-  shard_config.classifier = config_.classifier;
-  shard_config.verdict_cache_capacity = config_.verdict_cache_capacity;
-  shard_config.per_mode = config_.per_mode;
   shard_config.mobility = config_.mobility;
   shard_config.mesh = config_.mesh;
 
@@ -56,8 +46,7 @@ FleetRunner::FleetRunner(WorldConfig config)
     shards_[i] = std::make_unique<NetworkShard>(fleet_.networks[i], shard_config);
   });
 
-  // Flat views and the AP lookup are built serially in fleet order, so the
-  // global AP/link ordering matches the monolithic World's exactly.
+  // Flat views and the AP lookup are built serially, in fleet order.
   std::size_t total_aps = 0;
   std::size_t total_links = 0;
   for (const auto& shard : shards_) {
@@ -152,22 +141,10 @@ void FleetRunner::run_supervised(const char* phase,
       });
 }
 
-backend::ReportStore& FleetRunner::store() {
-  if (store_stale_) {
-    // Materialize the legacy row view from the segments: exact round-trip,
-    // canonical order, so readers of either view see identical bytes.
-    store_ = backend::ReportStore{};
-    fleet_tsdb_.for_each([&](const wire::ApReport& report) { store_.add(report); });
-    store_stale_ = false;
-  }
-  return store_;
-}
-
 void FleetRunner::seal_shard(std::size_t i) {
   backend::ReportStore& local = shards_[i]->store();
   if (local.report_count() == 0) return;
   fleet_tsdb_.append_store(shards_[i]->id().value(), std::move(local));
-  store_stale_ = true;
 }
 
 void FleetRunner::incremental_harvest() {
@@ -267,7 +244,6 @@ void FleetRunner::harvest(HarvestMode mode) {
     // are dropped too, so no partial work reaches any analysis.
     if (!supervisor_.guard_merge(i, now_us)) {
       fleet_tsdb_.drop_network(shards_[i]->id().value());
-      store_stale_ = true;
       continue;
     }
     seal_shard(i);

@@ -1,6 +1,6 @@
 // The fleet runtime: partitions a generated fleet into per-network shards,
-// fans campaigns out across a worker pool, and merges the shard-local report
-// stores into one backend store at harvest.
+// fans campaigns out across a worker pool, and seals the shard-local report
+// stores into one columnar segment vault at harvest.
 //
 // Determinism contract: for a fixed WorldConfig (minus `threads`), every
 // byte of simulated output is identical for any thread count, including 1.
@@ -9,8 +9,8 @@
 //      so no draw depends on cross-shard scheduling;
 //   2. every mutable object a campaign touches (APs, tunnels, poller, store)
 //      is confined to its shard, so workers never contend;
-//   3. harvest merges shard stores in fleet order, so the global store's
-//      contents are independent of which worker ran which shard.
+//   3. harvest seals shard stores in fleet order, so the vault's contents
+//      are independent of which worker ran which shard.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "backend/report_source.hpp"
-#include "backend/store.hpp"
 #include "core/ptr_span.hpp"
 #include "deploy/generator.hpp"
 #include "failsafe/supervisor.hpp"
@@ -38,21 +37,8 @@ struct WorldConfig {
   /// Negative or NaN values clamp to 0 at construction.
   double client_scale = 1.0;
   std::uint64_t seed = 7;
-  /// Legacy shorthand for faults.flap_fraction: the fraction of tunnels
-  /// that experience a one-shot WAN flap during a campaign. Folded into
-  /// `faults` at construction (kept so existing callers stay source
-  /// compatible); `faults.flap_fraction` wins when both are set.
-  double wan_flap_fraction = 0.0;
   /// Fault scenario applied per shard; all-zeros runs a clean campaign.
   fault::FaultSpec faults;
-  /// Classification engine every shard runs (indexed fast path by default;
-  /// reference keeps the linear oracle). Verdicts are identical in both.
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// Per-shard verdict cache bound; any value >= 1 is verdict-equivalent.
-  std::size_t verdict_cache_capacity = classify::VerdictCache::kDefaultCapacity;
-  /// PER evaluation path for mesh-link probes (table fast path by default;
-  /// reference recomputes the scalar). Outputs are byte-identical in both.
-  phy::PerMode per_mode = phy::PerMode::kTable;
   /// Client mobility: random-waypoint walks + occupancy-wave handoffs.
   /// Disabled by default; disabled runs are byte-identical to pre-mobility
   /// builds (mobility draws live in their own salted substream).
@@ -109,21 +95,12 @@ class FleetRunner {
   [[nodiscard]] PtrSpan<MeshLink> mesh_links() {
     return {link_ptrs_.data(), link_ptrs_.size()};
   }
-  /// Legacy row view of the harvested fleet. Reports live in columnar tsdb
-  /// segments after harvest(); the first store() call after a segment
-  /// change materializes them back into rows (canonical order, exact
-  /// round-trip). Prefer reports() — it reads the segments directly, one
-  /// network resident at a time.
-  [[nodiscard]] backend::ReportStore& store();
   /// The harvested fleet as a columnar read source (backend/report_source
-  /// contract: canonical order, byte-identical to store()'s view).
+  /// contract: canonical order, one network resident at a time).
   [[nodiscard]] const backend::ReportSource& reports() const { return fleet_tsdb_; }
   /// Segment vault access for checkpointing and bench accounting.
   [[nodiscard]] const tsdb::FleetStore& fleet_tsdb() const { return fleet_tsdb_; }
   [[nodiscard]] tsdb::FleetStore& fleet_tsdb() { return fleet_tsdb_; }
-  /// Marks the legacy row view stale (checkpoint restore adopts segments
-  /// behind store()'s back).
-  void invalidate_store_view() { store_stale_ = true; }
   [[nodiscard]] std::size_t client_count() const;
   [[nodiscard]] ApRuntime* find_ap(ApId id);
 
@@ -152,7 +129,7 @@ class FleetRunner {
   void run_link_windows(SimTime t);
 
   /// Drains each shard's tunnels into its local store in parallel, then
-  /// merges the shard stores into the global store in fleet order. kFinal
+  /// seals the shard stores into the segment vault in fleet order. kFinal
   /// reconnects every tunnel first (queued reports must survive a WAN
   /// outage, per the paper's §2 design); kWeekEnd leaves APs inside a
   /// still-open outage offline, their backlog in flight.
@@ -228,9 +205,6 @@ class FleetRunner {
   std::vector<MeshLink*> link_ptrs_;
   std::unordered_map<std::uint32_t, ApRuntime*> ap_lookup_;
   tsdb::FleetStore fleet_tsdb_;
-  backend::ReportStore store_;
-  /// True when segments changed since store_ was last materialized.
-  bool store_stale_ = false;
   telemetry::MetricsRegistry metrics_;
   std::vector<telemetry::TraceSpan> trace_;
   telemetry::PhaseProfiler profiler_;

@@ -7,12 +7,11 @@
 
 namespace wlm::sim {
 
-MeshLink::MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng, phy::PerMode per_mode)
+MeshLink::MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng)
     : from_(from),
       to_(to),
       budget_(budget),
       rng_(rng),
-      per_mode_(per_mode),
       // Multipath: Rician K ~ 6 dB indoors, mild probe-to-probe correlation
       // (15 s apart). Slow drift: high coherence, small swing via K.
       fast_fading_(rng_.fork(), 6.0, 0.35),
@@ -25,43 +24,25 @@ void MeshLink::advance() {
   current_slow_db_ = slow_drift_.next_gain_db() * 2.5;  // amplify drift swing
 }
 
-double MeshLink::delivery_probability(const ProbeOutcomeModel& model) {
+MeshLink::ProbeInputs MeshLink::probe_inputs(const ProbeOutcomeModel& model) const {
   const bool is5 = budget_.band == phy::Band::k5GHz;
   const double rx = budget_.median_rx_dbm + current_fast_db_ + current_slow_db_;
-  const double noise = phy::noise_floor(20.0).dbm();
-  const double sinr = rx - noise;
-  const auto modulation = is5 ? phy::Modulation::kOfdm6 : phy::Modulation::kDsss1;
-  const double per = phy::packet_error_rate(modulation, sinr, 60);
-  const double p_collision =
-      std::clamp(model.receiver_utilization * model.hidden_fraction, 0.0, 1.0);
-  return (1.0 - per) * (1.0 - p_collision);
+  return ProbeInputs{is5 ? phy::Modulation::kOfdm6 : phy::Modulation::kDsss1,
+                     rx - phy::noise_floor(20.0).dbm(),
+                     std::clamp(model.receiver_utilization * model.hidden_fraction, 0.0, 1.0)};
+}
+
+double MeshLink::delivery_probability(const ProbeOutcomeModel& model) {
+  const ProbeInputs in = probe_inputs(model);
+  return (1.0 - phy::packet_error_rate(in.modulation, in.sinr_db, 60)) * (1.0 - in.p_collision);
 }
 
 bool MeshLink::probe_with(const ProbeOutcomeModel& model, double u) {
   // The SINR uses the pre-advance fading state, exactly like the original
   // delivery_probability()-then-advance() sequence did.
-  const bool is5 = budget_.band == phy::Band::k5GHz;
-  const double rx = budget_.median_rx_dbm + current_fast_db_ + current_slow_db_;
-  const double noise = phy::noise_floor(20.0).dbm();
-  const double sinr = rx - noise;
-  const auto modulation = is5 ? phy::Modulation::kOfdm6 : phy::Modulation::kDsss1;
-  const double p_collision =
-      std::clamp(model.receiver_utilization * model.hidden_fraction, 0.0, 1.0);
+  const ProbeInputs in = probe_inputs(model);
   advance();
-  if (per_mode_ == phy::PerMode::kTable) {
-    if (const auto b = phy::probe_per_table(modulation).bounds(sinr)) {
-      // Delivery p = (1 - per) * (1 - p_collision) is monotone decreasing
-      // in per, and IEEE rounding preserves monotonicity, so the PER
-      // bracket maps straight to a delivery-probability bracket. A draw
-      // that clears the bracket is decided without touching pow/erfc.
-      const double p_lo = (1.0 - b->hi) * (1.0 - p_collision);
-      const double p_hi = (1.0 - b->lo) * (1.0 - p_collision);
-      if (u < p_lo) return true;
-      if (u >= p_hi) return false;
-    }
-  }
-  const double per = phy::packet_error_rate(modulation, sinr, 60);
-  return u < (1.0 - per) * (1.0 - p_collision);
+  return phy::probe_delivered(in.modulation, in.sinr_db, in.p_collision, u);
 }
 
 bool MeshLink::probe_once(const ProbeOutcomeModel& model) {

@@ -35,12 +35,7 @@ struct ProbeOutcomeModel {
 
 class MeshLink {
  public:
-  /// `per_mode` picks the PER evaluation path for probe outcomes: kTable
-  /// consults the shared SINR->PER lookup (guarded-exact, byte-identical
-  /// booleans), kReference recomputes the scalar PER per probe. Probe
-  /// results, RNG consumption, and checkpoint state are identical in both.
-  MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng,
-           phy::PerMode per_mode = phy::PerMode::kTable);
+  MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng);
 
   [[nodiscard]] ApId from() const { return from_; }
   [[nodiscard]] ApId to() const { return to_; }
@@ -92,13 +87,19 @@ class MeshLink {
   ApId to_;
   LinkBudget budget_;
   Rng rng_;
-  phy::PerMode per_mode_;
   phy::FadingProcess fast_fading_;  // multipath, decorrelates probe to probe
   phy::FadingProcess slow_drift_;   // doors/people/inventory, hours timescale
   double current_fast_db_ = 0.0;
   double current_slow_db_ = 0.0;
 
   void advance();
+  /// What decides a probe at the current fading state.
+  struct ProbeInputs {
+    phy::Modulation modulation;
+    double sinr_db;
+    double p_collision;
+  };
+  [[nodiscard]] ProbeInputs probe_inputs(const ProbeOutcomeModel& model) const;
   /// One probe with the uniform draw `u` supplied by the caller; shared by
   /// probe_once (scalar draw) and measure_window (batched draws).
   [[nodiscard]] bool probe_with(const ProbeOutcomeModel& model, double u);

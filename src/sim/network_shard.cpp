@@ -55,8 +55,7 @@ constexpr std::uint64_t kFaultSeedSalt = 0xFA171FA171FA17ULL;
 
 NetworkShard::NetworkShard(const deploy::NetworkConfig& net, const ShardConfig& config)
     : net_(&net), config_(config),
-      rng_(Rng::substream(config.seed, net.id.value())), poller_(store_),
-      classifier_(config.classifier, config.verdict_cache_capacity) {
+      rng_(Rng::substream(config.seed, net.id.value())), poller_(store_) {
   config_.faults = config_.faults.clamped();
   config_.mobility = config_.mobility.clamped();
   config_.mesh = config_.mesh.clamped();
@@ -174,8 +173,8 @@ void NetworkShard::build_clients() {
       pkt.parameter_request_list = classify::canonical_dhcp_params(os);
       pkt.vendor_class = classify::canonical_vendor_class(os);
       const auto bytes = classify::encode_dhcp(pkt);
-      if (const auto parsed = classify::parse_dhcp(bytes)) {
-        evidence.dhcp_fingerprints.push_back(parsed->parameter_request_list);
+      if (auto parsed = classify::parse_dhcp_ex(bytes); parsed.ok()) {
+        evidence.dhcp_fingerprints.push_back(std::move(parsed.value->parameter_request_list));
       }
     };
     if (device.os == classify::OsType::kUnknown) {
@@ -192,12 +191,10 @@ void NetworkShard::build_clients() {
             device.os, static_cast<unsigned>(rng_.next_u64() & 3)));
       }
     }
-    // Indexed mode routes the evidence lookups through the exact-match
-    // buckets; the decision procedure (and result) is the same either way.
-    client.detected_os = classify::classify_os(
-        evidence, classify::HeuristicsVersion::k2015,
-        config_.classifier == classify::ClassifierMode::kIndexed ? &classify::RuleIndex::standard()
-                                                                 : nullptr);
+    // The index routes the evidence lookups through its exact-match
+    // buckets; the decision procedure (and result) is classify_os's own.
+    client.detected_os = classify::classify_os(evidence, classify::HeuristicsVersion::k2015,
+                                               &classify::RuleIndex::standard());
     home.add_client(std::move(client));
     if (config_.mobility.enabled) {
       // Roster rides the already-drawn placement (no extra campaign draws);
@@ -284,7 +281,7 @@ void NetworkShard::build_links() {
             compute_link_budget(a.config().position, b.config().position, walls, band, tx,
                                 pathloss_, rng_);
         if (budget.median_rx_dbm < -95.0) continue;  // never decodable
-        links_.emplace_back(a.id(), b.id(), budget, rng_.fork(), config_.per_mode);
+        links_.emplace_back(a.id(), b.id(), budget, rng_.fork());
       }
     }
   }

@@ -43,17 +43,6 @@ struct ShardConfig {
   /// shard's FaultPlan is drawn from a dedicated substream, so enabling
   /// faults never perturbs the campaign's own draws.
   fault::FaultSpec faults;
-  /// Which classification engine APs run. kIndexed is the production fast
-  /// path; kReference keeps the linear scan as the differential oracle.
-  /// Verdicts (and therefore every report and table) are identical in both.
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// Per-shard verdict cache bound (flows pinned at once). Any value >= 1
-  /// yields the same verdict sequence; only hit/evict counts change.
-  std::size_t verdict_cache_capacity = classify::VerdictCache::kDefaultCapacity;
-  /// PER evaluation path mesh links use. kTable is the production lookup
-  /// fast path; kReference recomputes the scalar PER per probe as the
-  /// differential oracle. Probe outcomes are byte-identical in both.
-  phy::PerMode per_mode = phy::PerMode::kTable;
   /// Client mobility knobs. Disabled (the default) keeps the legacy
   /// coin-flip roaming and consumes zero extra campaign randomness —
   /// mobility draws come from a dedicated substream (kMobilitySeedSalt),

@@ -76,13 +76,6 @@ void FlowGenerator::pick_domain_into(const classify::AppInfo& info, std::string&
   }
 }
 
-GeneratedFlow FlowGenerator::make_flow(classify::AppId app, classify::OsType os,
-                                       std::uint64_t up_bytes, std::uint64_t down_bytes) {
-  GeneratedFlow flow;
-  make_flow_into(app, os, up_bytes, down_bytes, flow);
-  return flow;
-}
-
 void FlowGenerator::make_flow_into(classify::AppId app, classify::OsType os,
                                    std::uint64_t up_bytes, std::uint64_t down_bytes,
                                    GeneratedFlow& out) {

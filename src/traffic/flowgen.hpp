@@ -35,15 +35,11 @@ class FlowGenerator {
   explicit FlowGenerator(Rng rng) : rng_(rng) {}
 
   /// Builds the wire evidence for a flow of `app` from a device running
-  /// `os`, carrying the given byte volume.
-  [[nodiscard]] GeneratedFlow make_flow(classify::AppId app, classify::OsType os,
-                                        std::uint64_t up_bytes, std::uint64_t down_bytes);
-
-  /// Same flow written into a caller-owned slot. The slot's payload buffers
-  /// (and the generator's internal string scratch) keep their capacity
-  /// across calls, so a fleet run's millions of flows reuse a handful of
-  /// allocations instead of making fresh ones per flow. Draws exactly the
-  /// RNG sequence make_flow draws; every field of `out` is overwritten.
+  /// `os`, carrying the given byte volume, into a caller-owned slot. The
+  /// slot's payload buffers (and the generator's internal string scratch)
+  /// keep their capacity across calls, so a fleet run's millions of flows
+  /// reuse a handful of allocations instead of making fresh ones per flow.
+  /// Every field of `out` is overwritten.
   void make_flow_into(classify::AppId app, classify::OsType os, std::uint64_t up_bytes,
                       std::uint64_t down_bytes, GeneratedFlow& out);
 

@@ -47,12 +47,6 @@ const std::vector<WorkloadModel::AppPick>& WorkloadModel::picks_for(classify::Os
   return cached;
 }
 
-DeviceWeek WorkloadModel::generate_week(const deploy::ClientDevice& device) {
-  DeviceWeek week;
-  generate_week(device, week);
-  return week;
-}
-
 void WorkloadModel::generate_week(const deploy::ClientDevice& device, DeviceWeek& out) {
   out.usages.clear();
   const double budget = sample_weekly_bytes(device.os, epoch_, rng_);

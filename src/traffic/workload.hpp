@@ -35,16 +35,13 @@ class WorkloadModel {
  public:
   WorkloadModel(deploy::Epoch epoch, Rng rng);
 
-  /// Samples a device's week. Total bytes follow the OS model; the split
-  /// across apps follows catalog client-shares x OS affinity; per-app
-  /// up/down split follows the catalog's download fractions.
-  [[nodiscard]] DeviceWeek generate_week(const deploy::ClientDevice& device);
-
-  /// Same sampling into a caller-owned week. Flow slots (and the payload
-  /// buffers inside them) are reused across calls: the shard loop passes
-  /// one scratch DeviceWeek for its whole device sweep, turning millions of
-  /// per-flow allocations into a handful of steady-state buffers. Draws the
-  /// same RNG sequence as the by-value overload; `out` is fully rewritten.
+  /// Samples a device's week into a caller-owned week. Total bytes follow
+  /// the OS model; the split across apps follows catalog client-shares x OS
+  /// affinity; per-app up/down split follows the catalog's download
+  /// fractions. Flow slots (and the payload buffers inside them) are reused
+  /// across calls: the shard loop passes one scratch DeviceWeek for its
+  /// whole device sweep, turning millions of per-flow allocations into a
+  /// handful of steady-state buffers. `out` is fully rewritten.
   void generate_week(const deploy::ClientDevice& device, DeviceWeek& out);
 
  private:

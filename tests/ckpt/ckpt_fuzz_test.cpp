@@ -121,6 +121,19 @@ TEST(CkptFuzz, WrongMagicAndVersionAreTypedErrors) {
   }
 }
 
+TEST(CkptFuzz, PreviousVersionIsBadVersion) {
+  // v7 dropped the legacy config fields and the classifier mode word; a v6
+  // file must fail closed instead of being parsed with the wrong layout.
+  EXPECT_EQ(ckpt::kFormatVersion, 7u);
+  auto mutated = valid_checkpoint();
+  mutated[8] = 6;  // little-endian u32 version after the 8-byte magic
+  mutated[9] = mutated[10] = mutated[11] = 0;
+  ckpt::RestoredCampaign out;
+  const auto err = ckpt::restore_campaign(mutated, 1, out);
+  EXPECT_EQ(err.status, ckpt::Status::kBadVersion) << err.detail;
+  EXPECT_EQ(out.runner, nullptr);
+}
+
 // Valid container framing around hostile payloads: the CRC passes, so the
 // per-section loaders themselves must reject the content.
 TEST(CkptFuzz, ValidCrcMalformedSectionsFailTyped) {

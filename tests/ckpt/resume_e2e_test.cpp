@@ -18,6 +18,7 @@
 
 #include "ckpt/campaign.hpp"
 #include "ckpt/state.hpp"
+#include "support/report_store.hpp"
 #include "telemetry/export.hpp"
 
 namespace wlm {
@@ -95,7 +96,7 @@ Outputs outputs_of(sim::FleetRunner& runner) {
   Outputs out;
   out.prometheus = telemetry::to_prometheus(runner.metrics());
   ckpt::Buf b;
-  ckpt::save_store(b, runner.store());
+  ckpt::save_store(b, test_support::to_store(runner.reports()));
   out.store = b.take();
   out.ledger = runner.loss_ledger().render();
   out.trace = runner.trace();

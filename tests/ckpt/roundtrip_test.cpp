@@ -15,6 +15,7 @@
 #include "ckpt/state.hpp"
 #include "classify/tls.hpp"
 #include "classify/verdict_cache.hpp"
+#include "support/report_store.hpp"
 #include "telemetry/export.hpp"
 
 namespace wlm {
@@ -129,14 +130,13 @@ TEST(CkptState, TunnelRoundTripIsByteStable) {
 }
 
 TEST(CkptState, ClassifierRoundTripIsByteStable) {
-  using classify::ClassifierMode;
   using classify::FlowKey;
   using classify::TwoTierClassifier;
 
   // Populate the cache through the real classify path: a few TLS flows with
   // distinct keys, some taken past the pin quota (so a hit is recorded) and
   // enough keys to force an eviction at capacity 3.
-  TwoTierClassifier original(ClassifierMode::kIndexed, /*cache_capacity=*/3);
+  TwoTierClassifier original(/*cache_capacity=*/3);
   classify::FlowSample sample;
   sample.dst_port = 443;
   sample.first_payload = classify::build_client_hello("www.netflix.com", 1);
@@ -148,7 +148,7 @@ TEST(CkptState, ClassifierRoundTripIsByteStable) {
   ASSERT_GT(original.cache().stats().hits, 0u);
   ASSERT_GT(original.cache().stats().evictions, 0u);
 
-  TwoTierClassifier fresh(ClassifierMode::kIndexed, /*cache_capacity=*/3);
+  TwoTierClassifier fresh(/*cache_capacity=*/3);
   expect_save_load_save_identity(
       original, fresh,
       [](ckpt::Buf& b, const TwoTierClassifier& t) { ckpt::save_classifier(b, t); },
@@ -162,15 +162,6 @@ TEST(CkptState, ClassifierRoundTripIsByteStable) {
   const auto hits_before = fresh.cache().stats().hits;
   (void)fresh.classify(pinned, sample);
   EXPECT_EQ(fresh.cache().stats().hits, hits_before + 1);
-
-  // ...and a mode mismatch is a config error (false), not corruption.
-  ckpt::Buf b;
-  ckpt::save_classifier(b, original);
-  const auto bytes = b.take();
-  ckpt::Cursor c(bytes);
-  TwoTierClassifier wrong_mode(ClassifierMode::kReference);
-  EXPECT_FALSE(ckpt::load_classifier(c, wrong_mode));
-  EXPECT_TRUE(c.ok());
 }
 
 TEST(CkptState, StoreRoundTripIsByteStable) {
@@ -244,7 +235,7 @@ TEST(CkptState, WorldConfigRoundTripIsByteStable) {
   original.fleet.seed = 99;
   original.seed = 100;
   original.client_scale = 0.37;
-  original.wan_flap_fraction = 0.05;
+  original.faults.flap_fraction = 0.05;
   original.faults.outage_rate_per_week = 2.0;
   original.faults.corrupt_probability = 0.01;
   original.faults.tunnel_queue_limit = 64;
@@ -334,9 +325,9 @@ TEST(CkptCampaign, RestoredRunnerFinishesIdentically) {
             telemetry::to_prometheus(restored.runner->metrics()));
   EXPECT_EQ(original.trace(), restored.runner->trace());
   ckpt::Buf a;
-  ckpt::save_store(a, original.store());
+  ckpt::save_store(a, test_support::to_store(original.reports()));
   ckpt::Buf b;
-  ckpt::save_store(b, restored.runner->store());
+  ckpt::save_store(b, test_support::to_store(restored.runner->reports()));
   EXPECT_EQ(a.take(), b.take());
 }
 

@@ -19,7 +19,7 @@ DhcpPacket sample(OsType os) {
 TEST(DhcpWire, RoundTrip) {
   const DhcpPacket original = sample(OsType::kWindows);
   const auto bytes = encode_dhcp(original);
-  const auto parsed = parse_dhcp(bytes);
+  const auto parsed = parse_dhcp_ex(bytes).value;
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->type, DhcpMessageType::kDiscover);
   EXPECT_EQ(parsed->xid, 0xDEADBEEF);
@@ -32,28 +32,28 @@ TEST(DhcpWire, RoundTrip) {
 TEST(DhcpWire, EmptyOptionsOmitted) {
   DhcpPacket p;
   p.client_mac = MacAddress::from_u64(1);
-  const auto parsed = parse_dhcp(encode_dhcp(p));
+  const auto parsed = parse_dhcp_ex(encode_dhcp(p)).value;
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->parameter_request_list.empty());
   EXPECT_TRUE(parsed->vendor_class.empty());
 }
 
 TEST(DhcpWire, RejectsMalformed) {
-  EXPECT_FALSE(parse_dhcp({}).has_value());
+  EXPECT_FALSE(parse_dhcp_ex({}).ok());
   std::vector<std::uint8_t> short_pkt(100, 0);
-  EXPECT_FALSE(parse_dhcp(short_pkt).has_value());
+  EXPECT_FALSE(parse_dhcp_ex(short_pkt).ok());
   auto bytes = encode_dhcp(sample(OsType::kAndroid));
   bytes[0] = 2;  // BOOTREPLY, not a client message
-  EXPECT_FALSE(parse_dhcp(bytes).has_value());
+  EXPECT_FALSE(parse_dhcp_ex(bytes).ok());
   auto cookie = encode_dhcp(sample(OsType::kAndroid));
   cookie[236] = 0x00;  // break the magic cookie
-  EXPECT_FALSE(parse_dhcp(cookie).has_value());
+  EXPECT_FALSE(parse_dhcp_ex(cookie).ok());
 }
 
 TEST(DhcpWire, TruncatedOptionsYieldPartialParse) {
   auto bytes = encode_dhcp(sample(OsType::kMacOsX));
   bytes.resize(bytes.size() - 6);  // cut into the hostname option
-  const auto parsed = parse_dhcp(bytes);
+  const auto parsed = parse_dhcp_ex(bytes).value;
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->parameter_request_list, canonical_dhcp_params(OsType::kMacOsX));
 }
@@ -62,7 +62,7 @@ class DhcpPacketOs : public ::testing::TestWithParam<OsType> {};
 
 TEST_P(DhcpPacketOs, PacketRoundTripIdentifiesOs) {
   const OsType os = GetParam();
-  const auto parsed = parse_dhcp(encode_dhcp(sample(os)));
+  const auto parsed = parse_dhcp_ex(encode_dhcp(sample(os))).value;
   ASSERT_TRUE(parsed.has_value());
   const auto detected = os_from_dhcp_packet(*parsed);
   ASSERT_TRUE(detected.has_value());

@@ -7,7 +7,7 @@ namespace {
 
 TEST(Dns, QueryRoundTrip) {
   const auto packet = encode_dns_query(0x1234, "www.Netflix.COM");
-  const auto msg = parse_dns(packet);
+  const auto msg = parse_dns_ex(packet).value;
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->id, 0x1234);
   EXPECT_FALSE(msg->is_response);
@@ -18,28 +18,28 @@ TEST(Dns, QueryRoundTrip) {
 }
 
 TEST(Dns, SingleLabelName) {
-  const auto msg = parse_dns(encode_dns_query(1, "localhost"));
+  const auto msg = parse_dns_ex(encode_dns_query(1, "localhost")).value;
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->questions[0].qname, "localhost");
 }
 
 TEST(Dns, DeepSubdomain) {
   const std::string name = "a.b.c.d.e.example.com";
-  const auto msg = parse_dns(encode_dns_query(2, name));
+  const auto msg = parse_dns_ex(encode_dns_query(2, name)).value;
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->questions[0].qname, name);
 }
 
 TEST(Dns, TruncatedHeaderRejected) {
   std::vector<std::uint8_t> short_packet(11, 0);
-  EXPECT_FALSE(parse_dns(short_packet).has_value());
-  EXPECT_FALSE(parse_dns({}).has_value());
+  EXPECT_FALSE(parse_dns_ex(short_packet).ok());
+  EXPECT_FALSE(parse_dns_ex({}).ok());
 }
 
 TEST(Dns, TruncatedQuestionRejected) {
   auto packet = encode_dns_query(7, "example.com");
   packet.resize(packet.size() - 3);
-  EXPECT_FALSE(parse_dns(packet).has_value());
+  EXPECT_FALSE(parse_dns_ex(packet).ok());
 }
 
 TEST(Dns, CompressionPointerFollowed) {
@@ -55,7 +55,7 @@ TEST(Dns, CompressionPointerFollowed) {
   packet.push_back(0x01);
   packet.push_back(0x00);
   packet.push_back(0x01);
-  const auto msg = parse_dns(packet);
+  const auto msg = parse_dns_ex(packet).value;
   ASSERT_TRUE(msg.has_value());
   ASSERT_EQ(msg->questions.size(), 2u);
   EXPECT_EQ(msg->questions[1].qname, "ptr.example.org");
@@ -72,7 +72,7 @@ TEST(Dns, PointerLoopRejected) {
   packet.push_back(0x01);
   packet.push_back(0x00);
   packet.push_back(0x01);
-  EXPECT_FALSE(parse_dns(packet).has_value());
+  EXPECT_FALSE(parse_dns_ex(packet).ok());
   // Regression: the loop must be reported as kPointerLoop (the old 16-hop
   // bound also misfiled deep-but-legal chains; see kDnsMaxPointerHops).
   EXPECT_EQ(parse_dns_ex(packet).error, ParseError::kPointerLoop);
@@ -81,7 +81,7 @@ TEST(Dns, PointerLoopRejected) {
 TEST(Dns, ResponseFlagParsed) {
   auto packet = encode_dns_query(5, "example.net");
   packet[2] |= 0x80;  // QR bit
-  const auto msg = parse_dns(packet);
+  const auto msg = parse_dns_ex(packet).value;
   ASSERT_TRUE(msg.has_value());
   EXPECT_TRUE(msg->is_response);
 }
@@ -89,7 +89,7 @@ TEST(Dns, ResponseFlagParsed) {
 TEST(Dns, LongLabelTruncatedTo63) {
   const std::string monster(100, 'a');
   const auto packet = encode_dns_query(1, monster + ".example.com");
-  const auto msg = parse_dns(packet);
+  const auto msg = parse_dns_ex(packet).value;
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->questions[0].qname, std::string(63, 'a') + ".example.com");
 }

@@ -6,8 +6,8 @@ namespace wlm::classify {
 namespace {
 
 TEST(Http, ParsesSimpleGet) {
-  const auto head = parse_http_request(
-      "GET /index.html HTTP/1.1\r\nHost: www.Example.COM\r\nUser-Agent: TestUA/1.0\r\n\r\n");
+  const auto head = parse_http_request_ex(
+      "GET /index.html HTTP/1.1\r\nHost: www.Example.COM\r\nUser-Agent: TestUA/1.0\r\n\r\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->method, "GET");
   EXPECT_EQ(head->target, "/index.html");
@@ -19,7 +19,7 @@ TEST(Http, ParsesSimpleGet) {
 TEST(Http, BuildParseRoundTrip) {
   const std::string req =
       build_http_request("POST", "api.dropbox.com", "/upload", "Client/2", "video/mp4");
-  const auto head = parse_http_request(req);
+  const auto head = parse_http_request_ex(req).value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->method, "POST");
   EXPECT_EQ(head->host, "api.dropbox.com");
@@ -28,14 +28,15 @@ TEST(Http, BuildParseRoundTrip) {
 
 TEST(Http, StripsPortFromHost) {
   const auto head =
-      parse_http_request("GET / HTTP/1.1\r\nHost: example.com:8080\r\n\r\n");
+      parse_http_request_ex("GET / HTTP/1.1\r\nHost: example.com:8080\r\n\r\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "example.com");
 }
 
 TEST(Http, HeaderNamesCaseInsensitive) {
-  const auto head = parse_http_request(
-      "GET / HTTP/1.0\r\nHOST: a.example\r\nuser-agent: UA\r\nCONTENT-TYPE: Audio/MPEG\r\n\r\n");
+  const std::string request =
+      "GET / HTTP/1.0\r\nHOST: a.example\r\nuser-agent: UA\r\nCONTENT-TYPE: Audio/MPEG\r\n\r\n";
+  const auto head = parse_http_request_ex(request).value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "a.example");
   EXPECT_EQ(head->user_agent, "UA");
@@ -43,13 +44,13 @@ TEST(Http, HeaderNamesCaseInsensitive) {
 }
 
 TEST(Http, ToleratesBareLfLineEndings) {
-  const auto head = parse_http_request("GET / HTTP/1.1\nHost: lf.example\n\n");
+  const auto head = parse_http_request_ex("GET / HTTP/1.1\nHost: lf.example\n\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "lf.example");
 }
 
 TEST(Http, TruncatedHeadersStillYieldRequestLine) {
-  const auto head = parse_http_request("GET /path HTTP/1.1\r\nHost: trunc.exam");
+  const auto head = parse_http_request_ex("GET /path HTTP/1.1\r\nHost: trunc.exam").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->target, "/path");
   // The cut-off host is parsed from what arrived (classification uses the
@@ -58,30 +59,30 @@ TEST(Http, TruncatedHeadersStillYieldRequestLine) {
 }
 
 TEST(Http, RejectsNonHttpPayloads) {
-  EXPECT_FALSE(parse_http_request("").has_value());
-  EXPECT_FALSE(parse_http_request("\x16\x03\x01 binary").has_value());
-  EXPECT_FALSE(parse_http_request("NOSPACE").has_value());
-  EXPECT_FALSE(parse_http_request("GET /only-two-tokens").has_value());
-  EXPECT_FALSE(parse_http_request("GET / NOTHTTP/1.1").has_value());
+  EXPECT_FALSE(parse_http_request_ex("").ok());
+  EXPECT_FALSE(parse_http_request_ex("\x16\x03\x01 binary").ok());
+  EXPECT_FALSE(parse_http_request_ex("NOSPACE").ok());
+  EXPECT_FALSE(parse_http_request_ex("GET /only-two-tokens").ok());
+  EXPECT_FALSE(parse_http_request_ex("GET / NOTHTTP/1.1").ok());
 }
 
 TEST(Http, JunkHeaderLinesIgnored) {
-  const auto head = parse_http_request(
-      "GET / HTTP/1.1\r\ngarbage line without colon\r\nHost: ok.example\r\n\r\n");
+  const auto head = parse_http_request_ex(
+      "GET / HTTP/1.1\r\ngarbage line without colon\r\nHost: ok.example\r\n\r\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "ok.example");
 }
 
 TEST(Http, WhitespaceTrimmed) {
   const auto head =
-      parse_http_request("GET / HTTP/1.1\r\nHost:   spaced.example   \r\n\r\n");
+      parse_http_request_ex("GET / HTTP/1.1\r\nHost:   spaced.example   \r\n\r\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "spaced.example");
 }
 
 TEST(Http, BodyAfterHeadersIgnored) {
-  const auto head = parse_http_request(
-      "POST /x HTTP/1.1\r\nHost: b.example\r\n\r\nHost: fake.example\r\n");
+  const auto head = parse_http_request_ex(
+      "POST /x HTTP/1.1\r\nHost: b.example\r\n\r\nHost: fake.example\r\n").value;
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->host, "b.example");
 }

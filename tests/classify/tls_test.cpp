@@ -7,7 +7,7 @@ namespace {
 
 TEST(Tls, ClientHelloRoundTripWithSni) {
   const auto record = build_client_hello("www.Netflix.com", 42);
-  const auto info = parse_client_hello(record);
+  const auto info = parse_client_hello_ex(record).value;
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->sni, "www.netflix.com");  // lowercased
   EXPECT_EQ(info->legacy_version, 0x0303);
@@ -16,7 +16,7 @@ TEST(Tls, ClientHelloRoundTripWithSni) {
 
 TEST(Tls, NoSniExtension) {
   const auto record = build_client_hello("", 1);
-  const auto info = parse_client_hello(record);
+  const auto info = parse_client_hello_ex(record).value;
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->sni.empty());
 }
@@ -26,39 +26,39 @@ TEST(Tls, DifferentSeedsDifferentRandoms) {
   const auto b = build_client_hello("x.example", 2);
   EXPECT_NE(a, b);
   // But both parse to the same SNI.
-  EXPECT_EQ(parse_client_hello(a)->sni, parse_client_hello(b)->sni);
+  EXPECT_EQ(parse_client_hello_ex(a).value->sni, parse_client_hello_ex(b).value->sni);
 }
 
 TEST(Tls, RejectsNonHandshakeRecord) {
   auto record = build_client_hello("a.example", 3);
   record[0] = 0x17;  // application data
-  EXPECT_FALSE(parse_client_hello(record).has_value());
+  EXPECT_FALSE(parse_client_hello_ex(record).ok());
 }
 
 TEST(Tls, RejectsNonClientHello) {
   auto record = build_client_hello("a.example", 3);
   record[5] = 0x02;  // server_hello
-  EXPECT_FALSE(parse_client_hello(record).has_value());
+  EXPECT_FALSE(parse_client_hello_ex(record).ok());
 }
 
 TEST(Tls, RejectsTruncated) {
   const auto record = build_client_hello("host.example.com", 9);
   for (std::size_t cut : {3u, 9u, 20u, 40u}) {
     std::vector<std::uint8_t> partial(record.begin(), record.begin() + cut);
-    EXPECT_FALSE(parse_client_hello(partial).has_value()) << "cut " << cut;
+    EXPECT_FALSE(parse_client_hello_ex(partial).ok()) << "cut " << cut;
   }
 }
 
 TEST(Tls, RejectsEmptyAndGarbage) {
-  EXPECT_FALSE(parse_client_hello({}).has_value());
+  EXPECT_FALSE(parse_client_hello_ex({}).ok());
   const std::vector<std::uint8_t> garbage{0xDE, 0xAD, 0xBE, 0xEF};
-  EXPECT_FALSE(parse_client_hello(garbage).has_value());
+  EXPECT_FALSE(parse_client_hello_ex(garbage).ok());
 }
 
 TEST(Tls, LongHostname) {
   const std::string host = "very-long-subdomain-label-for-testing.some-quite-long-domain-"
                            "name-indeed.example.org";
-  const auto info = parse_client_hello(build_client_hello(host, 5));
+  const auto info = parse_client_hello_ex(build_client_hello(host, 5)).value;
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->sni, host);
 }
@@ -66,7 +66,7 @@ TEST(Tls, LongHostname) {
 TEST(Tls, HttpPayloadIsNotClientHello) {
   const std::string http = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
   const std::vector<std::uint8_t> bytes(http.begin(), http.end());
-  EXPECT_FALSE(parse_client_hello(bytes).has_value());
+  EXPECT_FALSE(parse_client_hello_ex(bytes).ok());
 }
 
 }  // namespace

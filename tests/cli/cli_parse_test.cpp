@@ -5,8 +5,10 @@
 // end-to-end exit-code check holds the line as flags accrete.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 #include "cli/parse.hpp"
@@ -89,7 +91,6 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
       {"simulate", "--networks"},
       {"simulate", "--seed"},
       {"simulate", "--jobs"},
-      {"simulate", "--flap"},
       {"simulate", "--mem-ceiling-mb"},
       {"simulate", "--max-shard-retries"},
       {"simulate", "--shard-deadline"},
@@ -107,7 +108,6 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
       {"report table2", "--mem-ceiling-mb"},
       {"report meshdelivery", "--mesh-fraction"},
       {"health", "--networks"},
-      {"health", "--flap"},
       {"stats", "--seed"},
       {"pcap /tmp/x.pcap", "--flows"},
       {"pcap /tmp/x.pcap", "--seed"},
@@ -118,11 +118,14 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
                                  "12abc", "0x10", "",         "1.2.3"};
   for (const Row& row : rows) {
     for (const char* poison : poisons) {
-      std::string cmd = std::string(row.command) + " " + row.flag + " '" +
-                        poison + "'";
+      const std::string command = row.command;
+      std::string cmd = command + " " + row.flag + " '" + poison + "'";
       // Keep accidental acceptance cheap — unless --networks is the flag
-      // under test (duplicate options overwrite, which would heal it).
-      if (std::string(row.flag) != "--networks") cmd += " --networks 2";
+      // under test (duplicate options overwrite, which would heal it) or
+      // the command takes no --networks (it would be rejected as unknown,
+      // hiding the flag under test).
+      const bool sized = command.rfind("pcap", 0) != 0 && command.rfind("spectrum", 0) != 0;
+      if (sized && std::string(row.flag) != "--networks") cmd += " --networks 2";
       EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
     }
   }
@@ -144,6 +147,48 @@ TEST(WlmctlFlagValidation, OutOfRangeMeshKnobsAreUsageErrors) {
         std::string("simulate --networks 2 ") + row.flag + " " + row.value;
     EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
   }
+}
+
+/// Runs wlmctl; returns its exit code and what it printed to stderr.
+std::pair<int, std::string> wlmctl_run(const std::string& cmdline) {
+  const std::string full = std::string(WLMCTL_BIN) + " " + cmdline + " 2>&1 >/dev/null";
+  std::FILE* pipe = popen(full.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string err;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) err += buf;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+}
+
+TEST(WlmctlFlagValidation, UnknownOptionsAreUsageErrors) {
+  // A misspelled flag must fail, not silently run the default scenario.
+  const auto [code, err] = wlmctl_run("simulate --networks 2 --jbos 4");
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(err, "wlmctl: unknown option --jbos for simulate\n");
+  // A real option given to a command that does not read it, and a final
+  // option that lost its value.
+  EXPECT_EQ(wlmctl_exit("spectrum --networks 2"), 2);
+  EXPECT_EQ(wlmctl_exit("simulate --networks 2 --jobs"), 2);
+  // Controls: known options still run, and the fault spec carries flaps.
+  EXPECT_EQ(wlmctl_exit("spectrum --seed 3"), 0);
+  EXPECT_EQ(wlmctl_exit("simulate --networks 2 --jobs 2 --faults flap=0.3"), 0);
+}
+
+TEST(WlmctlFlagValidation, RetiredFlagsAreUnknownOptions) {
+  // Each retired flag on every subcommand that used to take it: --flap
+  // (now --faults flap=F) and the reference-mode selectors.
+  const auto expect_unknown = [](const std::string& command, const std::string& flag) {
+    const auto [code, err] = wlmctl_run(command + " --networks 2 --" + flag + " 0");
+    EXPECT_EQ(code, 2) << command << " --" << flag;
+    EXPECT_EQ(err, "wlmctl: unknown option --" + flag + " for " +
+                       command.substr(0, command.find(' ')) + "\n");
+  };
+  for (const char* command : {"simulate", "health", "stats"}) {
+    for (const char* flag : {"flap", "classifier", "per-mode"}) expect_unknown(command, flag);
+  }
+  expect_unknown("report table2", "per-mode");
+  expect_unknown("export /tmp", "per-mode");
 }
 
 #endif  // WLMCTL_BIN

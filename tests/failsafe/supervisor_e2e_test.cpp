@@ -16,6 +16,7 @@
 #include "failsafe/failpoint.hpp"
 #include "failsafe/supervisor.hpp"
 #include "sim/fleet_runner.hpp"
+#include "support/report_store.hpp"
 #include "telemetry/export.hpp"
 
 namespace wlm::failsafe {
@@ -89,6 +90,7 @@ TEST(SupervisorE2E, KillOneShardQuarantinesAndKeepsSurvivorsByteIdentical) {
   sim::FleetRunner clean(scenario(1, 1));
   run_campaign(clean);
   ASSERT_FALSE(clean.supervisor().degraded());
+  const backend::ReportStore clean_store = test_support::to_store(clean.reports());
 
   std::vector<std::string> snapshots;
   for (const int jobs : {1, 2, 8}) {
@@ -113,14 +115,15 @@ TEST(SupervisorE2E, KillOneShardQuarantinesAndKeepsSurvivorsByteIdentical) {
     EXPECT_GT(ledger.lost_supervision, 0u);
 
     // No report from the quarantined network reached the fleet store...
+    const backend::ReportStore store = test_support::to_store(runner.reports());
     for (const ApId ap : victim_aps) {
-      EXPECT_TRUE(runner.store().reports_for(ap).empty());
+      EXPECT_TRUE(store.reports_for(ap).empty());
     }
     // ...and every surviving AP's reports are byte-identical to the clean
     // run's (shard confinement means a neighbor's death is invisible).
     for (const auto& ap : clean.aps()) {
       if (ap.network().value() == victim) continue;
-      EXPECT_EQ(runner.store().reports_for(ap.id()), clean.store().reports_for(ap.id()));
+      EXPECT_EQ(store.reports_for(ap.id()), clean_store.reports_for(ap.id()));
     }
     snapshots.push_back(telemetry::to_prometheus(runner.metrics()));
   }
@@ -157,9 +160,11 @@ TEST(SupervisorE2E, TransientFailureRecoversByteIdentically) {
   // The recovered campaign's simulated output is byte-identical to the
   // unfaulted run's: same reports for every AP, same ledger, and the same
   // metrics once the (deliberately visible) supervisor lines are stripped.
-  EXPECT_EQ(runner.store().report_count(), clean.store().report_count());
+  const backend::ReportStore store = test_support::to_store(runner.reports());
+  const backend::ReportStore clean_store = test_support::to_store(clean.reports());
+  EXPECT_EQ(store.report_count(), clean_store.report_count());
   for (const auto& ap : clean.aps()) {
-    EXPECT_EQ(runner.store().reports_for(ap.id()), clean.store().reports_for(ap.id()));
+    EXPECT_EQ(store.reports_for(ap.id()), clean_store.reports_for(ap.id()));
   }
   EXPECT_EQ(runner.loss_ledger().render(), clean.loss_ledger().render());
   EXPECT_EQ(strip_supervisor_lines(telemetry::to_prometheus(runner.metrics())),
@@ -186,8 +191,10 @@ TEST(SupervisorE2E, WatchdogConvertsStallIntoSupervisedRecovery) {
   const ShardIncident& incident = runner.supervisor().manifest().incidents[0];
   EXPECT_EQ(incident.outcome, IncidentOutcome::kRecovered);
   EXPECT_NE(incident.error.find("watchdog"), std::string::npos) << incident.error;
+  const backend::ReportStore store = test_support::to_store(runner.reports());
+  const backend::ReportStore clean_store = test_support::to_store(clean.reports());
   for (const auto& ap : clean.aps()) {
-    EXPECT_EQ(runner.store().reports_for(ap.id()), clean.store().reports_for(ap.id()));
+    EXPECT_EQ(store.reports_for(ap.id()), clean_store.reports_for(ap.id()));
   }
 }
 
@@ -207,8 +214,9 @@ TEST(SupervisorE2E, HarvestMergeFailureQuarantinesWithoutMerging) {
   const ShardIncident& incident = runner.supervisor().manifest().incidents[0];
   EXPECT_EQ(incident.phase, "harvest.merge");
   EXPECT_EQ(incident.outcome, IncidentOutcome::kQuarantined);
+  const backend::ReportStore store = test_support::to_store(runner.reports());
   for (const ApId ap : victim_aps) {
-    EXPECT_TRUE(runner.store().reports_for(ap).empty());
+    EXPECT_TRUE(store.reports_for(ap).empty());
   }
   const auto ledger = runner.loss_ledger();
   EXPECT_TRUE(ledger.conserved()) << ledger.render();

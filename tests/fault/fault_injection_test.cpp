@@ -34,13 +34,11 @@ fault::FaultSpec mixed_faults() {
   return faults;
 }
 
-std::uint32_t store_digest(backend::ReportStore& store) {
+std::uint32_t store_digest(const backend::ReportSource& reports) {
   std::uint32_t crc = 0;
-  for (const ApId ap : store.aps()) {
-    for (const auto& report : store.reports_for(ap)) {
-      crc = crc32_update(crc, wire::encode_report(report));
-    }
-  }
+  reports.for_each([&](const wire::ApReport& report) {
+    crc = crc32_update(crc, wire::encode_report(report));
+  });
   return crc;
 }
 
@@ -60,7 +58,7 @@ TEST(FaultInjection, MixedFaultLedgerConserved) {
   EXPECT_GT(ledger.lost_reboot, 0u);
   EXPECT_GT(ledger.lost_corruption, 0u);
   // "delivered" is exactly what the store holds.
-  EXPECT_EQ(runner.store().report_count(), ledger.delivered);
+  EXPECT_EQ(runner.reports().report_count(), ledger.delivered);
 }
 
 TEST(FaultInjection, LedgerAndStoreBitIdenticalAcrossThreadCounts) {
@@ -69,7 +67,7 @@ TEST(FaultInjection, LedgerAndStoreBitIdenticalAcrossThreadCounts) {
     runner.run_usage_week(7);
     runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
     runner.harvest(HarvestMode::kFinal);
-    return std::make_pair(store_digest(runner.store()), runner.loss_ledger());
+    return std::make_pair(store_digest(runner.reports()), runner.loss_ledger());
   };
   const auto serial = run(1);
   const auto parallel4 = run(4);
@@ -90,25 +88,11 @@ TEST(FaultInjection, FaultsDoNotPerturbCampaignDraws) {
     FleetRunner runner(faulted_fleet(faults, 8, 21));
     runner.run_usage_week(7);
     runner.harvest(HarvestMode::kFinal);
-    return store_digest(runner.store());
+    return store_digest(runner.reports());
   };
   fault::FaultSpec flap_only;
   flap_only.flap_fraction = 0.9;
   EXPECT_EQ(digest_with(fault::FaultSpec{}), digest_with(flap_only));
-}
-
-TEST(FaultInjection, LegacyFlapFoldsIntoFaultSpec) {
-  // WorldConfig::wan_flap_fraction keeps working as shorthand.
-  WorldConfig cfg = faulted_fleet(fault::FaultSpec{}, 6, 31);
-  cfg.wan_flap_fraction = 0.8;
-  FleetRunner runner(cfg);
-  EXPECT_DOUBLE_EQ(runner.config().faults.flap_fraction, 0.8);
-  runner.run_usage_week(7);
-  runner.harvest(HarvestMode::kFinal);
-  const fault::LossLedger ledger = runner.loss_ledger();
-  EXPECT_TRUE(ledger.conserved()) << ledger.render();
-  EXPECT_EQ(ledger.lost(), 0u) << "a flap alone loses nothing (paper §2)";
-  EXPECT_EQ(ledger.delivered, ledger.generated);
 }
 
 TEST(FaultInjection, BadKnobsClampInsteadOfMisbehaving) {

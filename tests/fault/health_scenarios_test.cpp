@@ -25,7 +25,7 @@ std::vector<backend::HealthFinding> triage(FleetRunner& runner) {
   policy.expected_interval = Duration::days(1);
   const backend::HealthMonitor monitor(policy);
   auto findings =
-      monitor.analyze(runner.store(), SimTime::epoch() + Duration::days(7));
+      monitor.analyze(runner.reports(), SimTime::epoch() + Duration::days(7));
   for (const auto& ap : runner.aps()) {
     const auto t = monitor.analyze_tunnel(ap.tunnel());
     findings.insert(findings.end(), t.begin(), t.end());

@@ -21,6 +21,7 @@
 #include "ckpt/state.hpp"
 #include "mobility/mobility.hpp"
 #include "sim/fleet_runner.hpp"
+#include "support/report_store.hpp"
 #include "telemetry/export.hpp"
 
 namespace wlm {
@@ -203,7 +204,7 @@ Outputs run_campaign(const sim::WorldConfig& config) {
   Outputs out;
   out.prometheus = telemetry::to_prometheus(runner.metrics());
   ckpt::Buf b;
-  ckpt::save_store(b, runner.store());
+  ckpt::save_store(b, test_support::to_store(runner.reports()));
   out.store = b.take();
   out.ledger = runner.loss_ledger().render();
   return out;

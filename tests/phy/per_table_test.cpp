@@ -144,12 +144,40 @@ TEST(PerTable, InterpolatedWithinPinnedAbsBound) {
   EXPECT_LE(worst, 5e-3);
 }
 
-TEST(PerTable, ModeNamesRoundTrip) {
-  EXPECT_STREQ(per_mode_name(PerMode::kReference), "reference");
-  EXPECT_STREQ(per_mode_name(PerMode::kTable), "table");
-  EXPECT_EQ(per_mode_from_name("reference"), PerMode::kReference);
-  EXPECT_EQ(per_mode_from_name("table"), PerMode::kTable);
-  EXPECT_FALSE(per_mode_from_name("exact").has_value());
+TEST(PerTable, ProbeDeliveredMatchesScalarOracle) {
+  // The mesh probe decision against its definition, bit for bit:
+  // u < (1 - per_exact) * (1 - p_collision). Draws cover both probe
+  // modulations, rates without a probe table, SINRs off the grid, the
+  // collision extremes, draws exactly on the threshold, and draws near it
+  // (inside the table's bracket, where the scalar fallback decides).
+  Rng rng(0x9806e);
+  const auto& rates = all_rates();
+  int in_bracket = 0;
+  int off_grid = 0;
+  for (int trial = 0; trial < 200'000; ++trial) {
+    Modulation m = trial % 2 == 0 ? Modulation::kDsss1 : Modulation::kOfdm6;
+    if (trial % 8 == 7) m = rates[rng.next_u64() % rates.size()].modulation;
+    const double sinr = rng.uniform(-15.0, 50.0);
+    double p_collision = rng.uniform();
+    if (trial % 16 == 0) p_collision = 0.0;
+    if (trial % 16 == 1) p_collision = 1.0;
+    const double delivery = (1.0 - packet_error_rate(m, sinr, 60)) * (1.0 - p_collision);
+    double u = rng.uniform();
+    if (trial % 4 == 0) u = std::clamp(delivery + (u - 0.5) * 0.02, 0.0, 1.0);
+    if (trial % 4 == 1) u = delivery;
+    ASSERT_EQ(probe_delivered(m, sinr, p_collision, u), u < delivery)
+        << "trial=" << trial << " sinr=" << sinr << " p_collision=" << p_collision
+        << " u=" << u;
+
+    const PerTable& table = probe_per_table(m);
+    const auto b = table.bounds(sinr);
+    off_grid += !b;
+    in_bracket += b && table.modulation() == m && u >= (1.0 - b->hi) * (1.0 - p_collision) &&
+                  u < (1.0 - b->lo) * (1.0 - p_collision);
+  }
+  // Both fallbacks were exercised, not just the table's fast decisions.
+  EXPECT_GT(in_bracket, 1000);
+  EXPECT_GT(off_grid, 1000);
 }
 
 TEST(PerTable, ProbeTablesSharedAndCorrect) {

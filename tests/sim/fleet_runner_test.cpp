@@ -18,17 +18,14 @@ WorldConfig small_fleet(int networks = 12, std::uint64_t seed = 11, int threads 
   return cfg;
 }
 
-/// Byte-exact digest of the whole store: every report re-encoded with the
-/// real wire codec, walked in sorted-AP order so the digest is a pure
-/// function of content, not of hash-map iteration.
-std::uint32_t store_digest(backend::ReportStore& store) {
+/// Byte-exact digest of the harvested fleet: every report re-encoded with
+/// the real wire codec, walked in canonical (ascending AP id) order so the
+/// digest is a pure function of content.
+std::uint32_t store_digest(const backend::ReportSource& reports) {
   std::uint32_t crc = 0;
-  for (const ApId ap : store.aps()) {
-    for (const auto& report : store.reports_for(ap)) {
-      const auto bytes = wire::encode_report(report);
-      crc = crc32_update(crc, bytes);
-    }
-  }
+  reports.for_each([&](const wire::ApReport& report) {
+    crc = crc32_update(crc, wire::encode_report(report));
+  });
   return crc;
 }
 
@@ -39,7 +36,7 @@ std::uint32_t run_campaigns_and_digest(const WorldConfig& cfg) {
   runner.run_link_windows(SimTime::epoch() + Duration::hours(14));
   runner.snapshot_clients(SimTime::epoch() + Duration::hours(20));
   runner.harvest();
-  return store_digest(runner.store());
+  return store_digest(runner.reports());
 }
 
 TEST(FleetRunner, StructureMatchesFleet) {
@@ -76,11 +73,11 @@ TEST(FleetRunner, FlappedTunnelsSurviveShardedHarvest) {
   // harvest reconnects them, so every enqueued report lands in the store.
   auto count_reports = [](double flap_fraction, int threads) {
     WorldConfig cfg = small_fleet(10, 21, threads);
-    cfg.wan_flap_fraction = flap_fraction;
+    cfg.faults.flap_fraction = flap_fraction;
     FleetRunner runner(cfg);
     runner.run_usage_week(/*reports_per_week=*/7);
     runner.harvest();
-    return runner.store().report_count();
+    return runner.reports().report_count();
   };
   const std::size_t clean = count_reports(0.0, 1);
   EXPECT_GT(clean, 0u);
@@ -95,7 +92,7 @@ TEST(FleetRunner, HarvestDrainsEveryTunnel) {
   for (const auto& ap : runner.aps()) {
     EXPECT_EQ(ap.tunnel().queued(), 0u);
   }
-  // Shard-local stores were moved into the global store.
+  // Shard-local stores were sealed into the segment vault.
   for (const auto& shard : runner.shards()) {
     EXPECT_EQ(shard->store().report_count(), 0u);
   }

@@ -1,8 +1,8 @@
-#include "sim/world.hpp"
-
+// The simulated world end to end, driven through sim::FleetRunner.
 #include <gtest/gtest.h>
 
 #include "backend/aggregate.hpp"
+#include "sim/fleet_runner.hpp"
 
 namespace wlm::sim {
 namespace {
@@ -17,7 +17,7 @@ WorldConfig small_world(int networks = 15, std::uint64_t seed = 5) {
 }
 
 TEST(World, ConstructionInvariants) {
-  World world(small_world());
+  FleetRunner world(small_world());
   EXPECT_EQ(static_cast<int>(world.aps().size()), world.fleet().total_aps());
   EXPECT_GT(world.client_count(), 100u);
   EXPECT_GT(world.mesh_links().size(), 0u);
@@ -29,7 +29,7 @@ TEST(World, ConstructionInvariants) {
 }
 
 TEST(World, ClientsAssociatedWithPlausibleRssi) {
-  World world(small_world());
+  FleetRunner world(small_world());
   int clients = 0;
   for (const auto& ap : world.aps()) {
     for (const double rssi : ap.clients().rssi_at_ap_dbm()) {
@@ -43,7 +43,7 @@ TEST(World, ClientsAssociatedWithPlausibleRssi) {
 
 TEST(World, MajorityOfClientsOn24GHz) {
   // Paper Figure 1: ~80% of associated clients sit on 2.4 GHz.
-  World world(small_world(40, 11));
+  FleetRunner world(small_world(40, 11));
   int on24 = 0;
   int total = 0;
   for (const auto& ap : world.aps()) {
@@ -59,23 +59,23 @@ TEST(World, MajorityOfClientsOn24GHz) {
 }
 
 TEST(World, UsageCampaignFlowsThroughPipeline) {
-  World world(small_world());
+  FleetRunner world(small_world());
   world.run_usage_week(/*reports_per_week=*/2);
   EXPECT_GT(world.flows_classified(), 100u);
   // Nothing reaches the store until harvest.
-  EXPECT_EQ(world.store().report_count(), 0u);
+  EXPECT_EQ(world.reports().report_count(), 0u);
   world.harvest();
-  EXPECT_EQ(world.store().report_count(), world.aps().size() * 2);
+  EXPECT_EQ(world.reports().report_count(), world.aps().size() * 2);
   // Every tunnel fully drained.
   for (const auto& ap : world.aps()) EXPECT_EQ(ap.tunnel().queued(), 0u);
 }
 
 TEST(World, UsageBytesConservedThroughWire) {
-  World world(small_world(10, 7));
+  FleetRunner world(small_world(10, 7));
   world.run_usage_week(7);
   world.harvest();
   backend::UsageAggregator agg;
-  agg.consume(world.store(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
+  agg.consume(world.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
   // Every associated client that generated traffic appears exactly once.
   EXPECT_LE(agg.client_count(), world.client_count());
   EXPECT_GT(agg.client_count(), world.client_count() * 8 / 10);
@@ -86,23 +86,23 @@ TEST(World, UsageBytesConservedThroughWire) {
 
 TEST(World, WanFlapLosesNothing) {
   auto cfg = small_world(10, 9);
-  cfg.wan_flap_fraction = 0.5;
-  World world(cfg);
+  cfg.faults.flap_fraction = 0.5;
+  FleetRunner world(cfg);
   world.run_usage_week(3);
   world.harvest();  // reconnects and drains queues
-  EXPECT_EQ(world.store().report_count(), world.aps().size() * 3);
+  EXPECT_EQ(world.reports().report_count(), world.aps().size() * 3);
   for (const auto& ap : world.aps()) {
     EXPECT_EQ(ap.tunnel().stats().frames_dropped, 0u);
   }
 }
 
 TEST(World, SnapshotCarriesCapabilitiesAndOs) {
-  World world(small_world(40));
+  FleetRunner world(small_world(40));
   world.snapshot_clients(SimTime::epoch() + Duration::hours(20));
   world.harvest();
   int snapshots = 0;
   int with_os = 0;
-  world.store().for_each([&](const wire::ApReport& report) {
+  world.reports().for_each([&](const wire::ApReport& report) {
     for (const auto& snap : report.clients) {
       ++snapshots;
       with_os += snap.os_id != 0;
@@ -119,15 +119,15 @@ TEST(World, SnapshotCarriesCapabilitiesAndOs) {
 }
 
 TEST(World, SnapshotLargerByDayThanNight) {
-  World day_world(small_world(30, 41));
+  FleetRunner day_world(small_world(30, 41));
   day_world.snapshot_clients(SimTime::epoch() + Duration::hours(14));
   day_world.harvest();
-  World night_world(small_world(30, 41));
+  FleetRunner night_world(small_world(30, 41));
   night_world.snapshot_clients(SimTime::epoch() + Duration::hours(3));
   night_world.harvest();
-  auto count = [](World& w) {
+  auto count = [](FleetRunner& w) {
     int n = 0;
-    w.store().for_each(
+    w.reports().for_each(
         [&](const wire::ApReport& r) { n += static_cast<int>(r.clients.size()); });
     return n;
   };
@@ -135,10 +135,10 @@ TEST(World, SnapshotLargerByDayThanNight) {
 }
 
 TEST(World, Mr16ReportsServingChannels) {
-  World world(small_world());
+  FleetRunner world(small_world());
   world.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
   world.harvest();
-  world.store().for_each([&](const wire::ApReport& report) {
+  world.reports().for_each([&](const wire::ApReport& report) {
     EXPECT_EQ(report.utilization.size(), 2u);  // one per band
     for (const auto& u : report.utilization) {
       EXPECT_GT(u.cycle_us, 0u);
@@ -151,20 +151,20 @@ TEST(World, Mr16ReportsServingChannels) {
 TEST(World, Mr18ScanCoversAllChannels) {
   auto cfg = small_world(5, 13);
   cfg.fleet.model = deploy::ApModel::kMr18;
-  World world(cfg);
+  FleetRunner world(cfg);
   world.run_mr18_scan(SimTime::epoch() + Duration::hours(10), 10.0);
   world.harvest();
-  world.store().for_each([&](const wire::ApReport& report) {
+  world.reports().for_each([&](const wire::ApReport& report) {
     EXPECT_EQ(report.utilization.size(), phy::ChannelPlan::us().channels().size());
   });
 }
 
 TEST(World, LinkWindowsReportedByReceiver) {
-  World world(small_world());
+  FleetRunner world(small_world());
   world.run_link_windows(SimTime::epoch() + Duration::hours(14));
   world.harvest();
   std::size_t windows = 0;
-  world.store().for_each([&](const wire::ApReport& report) {
+  world.reports().for_each([&](const wire::ApReport& report) {
     for (const auto& l : report.links) {
       ++windows;
       EXPECT_EQ(l.probes_expected, 20u);
@@ -175,7 +175,7 @@ TEST(World, LinkWindowsReportedByReceiver) {
 }
 
 TEST(World, WeekSeriesHasDiurnalStructure) {
-  World world(small_world(25, 17));
+  FleetRunner world(small_world(25, 17));
   ASSERT_GT(world.mesh_links().size(), 0u);
   const auto series = world.link_week_series(0, Duration::hours(2));
   EXPECT_EQ(series.size(), 7u * 12u);
@@ -186,8 +186,8 @@ TEST(World, WeekSeriesHasDiurnalStructure) {
 }
 
 TEST(World, DeterministicAcrossRuns) {
-  World a(small_world(8, 21));
-  World b(small_world(8, 21));
+  FleetRunner a(small_world(8, 21));
+  FleetRunner b(small_world(8, 21));
   EXPECT_EQ(a.client_count(), b.client_count());
   EXPECT_EQ(a.mesh_links().size(), b.mesh_links().size());
   a.run_usage_week(1);
@@ -200,11 +200,11 @@ TEST(World, DeterministicAcrossRuns) {
 
 TEST(World, RoamingClientsAppearOnMultipleAps) {
   // Paper SS2.3: the backend merges usage by MAC because phones roam.
-  World world(small_world(25, 29));
+  FleetRunner world(small_world(25, 29));
   world.run_usage_week(2);
   world.harvest();
   backend::UsageAggregator agg;
-  agg.consume(world.store(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
+  agg.consume(world.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
   int roamers = 0;
   for (const auto& [mac, client] : agg.clients()) {
     if (client.ap_count > 1) ++roamers;
@@ -220,11 +220,11 @@ TEST(World, UpdateSpikeInflatesReleaseDay) {
   spike.affects_windows = true;
   spike.download_multiplier = 10.0;
 
-  World world(small_world(10, 31));
+  FleetRunner world(small_world(10, 31));
   world.run_usage_week(7, {spike});
   world.harvest();
   std::vector<double> daily(7, 0.0);
-  world.store().for_each([&](const wire::ApReport& report) {
+  world.reports().for_each([&](const wire::ApReport& report) {
     const auto day =
         static_cast<std::size_t>(report.timestamp_us / Duration::days(1).as_micros());
     if (day >= daily.size()) return;
@@ -235,7 +235,7 @@ TEST(World, UpdateSpikeInflatesReleaseDay) {
 }
 
 TEST(World, MisclassificationRateIsLow) {
-  World world(small_world(20, 23));
+  FleetRunner world(small_world(20, 23));
   world.run_usage_week(1);
   EXPECT_LT(static_cast<double>(world.flows_misclassified()) /
                 static_cast<double>(world.flows_classified()),

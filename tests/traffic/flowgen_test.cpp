@@ -16,8 +16,9 @@ TEST_P(FlowRoundTrip, GeneratedFlowsClassifyToTruth) {
   FlowGenerator gen{Rng{static_cast<std::uint64_t>(app) * 7 + 1}};
   int correct = 0;
   const int n = 60;
+  GeneratedFlow flow;
   for (int i = 0; i < n; ++i) {
-    const auto flow = gen.make_flow(app, classify::OsType::kWindows, 1000, 10'000);
+    gen.make_flow_into(app, classify::OsType::kWindows, 1000, 10'000, flow);
     if (classify::classify_flow(flow.sample) == app) ++correct;
   }
   // Some flows legitimately degrade (cached DNS and no SNI -> misc bucket),
@@ -40,8 +41,9 @@ TEST_P(FallbackRoundTrip, BucketAppsLandInTheirBucket) {
   FlowGenerator gen{Rng{static_cast<std::uint64_t>(app) * 13 + 5}};
   int correct = 0;
   const int n = 60;
+  GeneratedFlow flow;
   for (int i = 0; i < n; ++i) {
-    const auto flow = gen.make_flow(app, classify::OsType::kAndroid, 500, 500);
+    gen.make_flow_into(app, classify::OsType::kAndroid, 500, 500, flow);
     if (classify::classify_flow(flow.sample) == app) ++correct;
   }
   EXPECT_GE(correct, n * 9 / 10) << classify::app_info(app).name;
@@ -55,7 +57,8 @@ INSTANTIATE_TEST_SUITE_P(Buckets, FallbackRoundTrip,
 
 TEST(FlowGen, BytesCarriedThrough) {
   FlowGenerator gen{Rng{3}};
-  const auto flow = gen.make_flow(AppId::kNetflix, classify::OsType::kMacOsX, 123, 4567);
+  GeneratedFlow flow;
+  gen.make_flow_into(AppId::kNetflix, classify::OsType::kMacOsX, 123, 4567, flow);
   EXPECT_EQ(flow.upstream_bytes, 123u);
   EXPECT_EQ(flow.downstream_bytes, 4567u);
   EXPECT_EQ(flow.truth, AppId::kNetflix);
@@ -63,9 +66,10 @@ TEST(FlowGen, BytesCarriedThrough) {
 
 TEST(FlowGen, TlsFlowsHaveParsableHello) {
   FlowGenerator gen{Rng{5}};
+  GeneratedFlow flow;
   int tls_seen = 0;
   for (int i = 0; i < 50; ++i) {
-    const auto flow = gen.make_flow(AppId::kMiscSecureWeb, classify::OsType::kWindows, 1, 1);
+    gen.make_flow_into(AppId::kMiscSecureWeb, classify::OsType::kWindows, 1, 1, flow);
     const auto meta = classify::extract_metadata(flow.sample);
     if (meta.saw_tls) ++tls_seen;
   }
@@ -74,8 +78,9 @@ TEST(FlowGen, TlsFlowsHaveParsableHello) {
 
 TEST(FlowGen, DnsPacketsAreWellFormedWhenPresent) {
   FlowGenerator gen{Rng{7}};
+  GeneratedFlow flow;
   for (int i = 0; i < 100; ++i) {
-    const auto flow = gen.make_flow(AppId::kYouTube, classify::OsType::kAndroid, 1, 1);
+    gen.make_flow_into(AppId::kYouTube, classify::OsType::kAndroid, 1, 1, flow);
     if (flow.sample.dns_packet.empty()) continue;
     const auto meta = classify::extract_metadata(flow.sample);
     EXPECT_FALSE(meta.dns_hostname.empty());
@@ -83,11 +88,11 @@ TEST(FlowGen, DnsPacketsAreWellFormedWhenPresent) {
 }
 
 TEST(FlowGen, MakeFlowIntoMatchesByValueAcrossReusedSlot) {
-  // Two same-seeded generators must stay in lockstep when one produces
-  // flows by value and the other writes into a single reused slot — same
+  // Two same-seeded generators must stay in lockstep when one writes each
+  // flow into a fresh slot and the other into a single reused slot — same
   // bytes, same ports, same RNG sequence, no stale state from the previous
   // (possibly larger) flow in the slot.
-  FlowGenerator by_value{Rng{0xF10}};
+  FlowGenerator fresh{Rng{0xF10}};
   FlowGenerator into{Rng{0xF10}};
   GeneratedFlow slot;
   const AppId apps[] = {AppId::kNetflix, AppId::kMiscWeb, AppId::kBitTorrent,
@@ -97,8 +102,8 @@ TEST(FlowGen, MakeFlowIntoMatchesByValueAcrossReusedSlot) {
   for (int i = 0; i < 300; ++i) {
     const AppId app = apps[static_cast<std::size_t>(i) % std::size(apps)];
     const auto os = oses[static_cast<std::size_t>(i) % std::size(oses)];
-    const auto expected =
-        by_value.make_flow(app, os, static_cast<std::uint64_t>(i) * 11, 1000 + i);
+    GeneratedFlow expected;
+    fresh.make_flow_into(app, os, static_cast<std::uint64_t>(i) * 11, 1000 + i, expected);
     into.make_flow_into(app, os, static_cast<std::uint64_t>(i) * 11, 1000 + i, slot);
     ASSERT_EQ(slot.sample.transport, expected.sample.transport) << i;
     ASSERT_EQ(slot.sample.dst_port, expected.sample.dst_port) << i;

@@ -68,9 +68,9 @@ TEST(PcapWriter, HeaderAndRecords) {
 TEST(PcapWriter, FlowExportCarriesDnsAndData) {
   FlowGenerator gen{Rng{9}};
   // Find a flow that includes a DNS lookup.
+  GeneratedFlow flow;
   for (int attempt = 0; attempt < 20; ++attempt) {
-    const auto flow =
-        gen.make_flow(classify::AppId::kNetflix, classify::OsType::kWindows, 10, 100);
+    gen.make_flow_into(classify::AppId::kNetflix, classify::OsType::kWindows, 10, 100, flow);
     if (flow.sample.dns_packet.empty()) continue;
     PcapWriter writer;
     writer.add_flow(SimTime::epoch(), flow, endpoints());

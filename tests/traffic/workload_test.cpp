@@ -23,10 +23,10 @@ TEST(Workload, WeeklyBytesTrackOsMean) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{3});
   double total = 0.0;
   const int n = 4000;
+  DeviceWeek week;
   for (int i = 0; i < n; ++i) {
-    total += static_cast<double>(
-        model.generate_week(device_with(OsType::kAppleIos, static_cast<std::uint32_t>(i)))
-            .total_bytes());
+    model.generate_week(device_with(OsType::kAppleIos, static_cast<std::uint32_t>(i)), week);
+    total += static_cast<double>(week.total_bytes());
   }
   const double mean_mb = total / n / 1e6;
   EXPECT_NEAR(mean_mb, 224.0, 50.0);  // Table 3 iOS MB/client
@@ -37,9 +37,9 @@ TEST(Workload, FallbackBucketsNearlyUbiquitous) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{5});
   int has_misc_web = 0;
   const int n = 1000;
+  DeviceWeek week;
   for (int i = 0; i < n; ++i) {
-    const auto week =
-        model.generate_week(device_with(OsType::kWindows, static_cast<std::uint32_t>(i)));
+    model.generate_week(device_with(OsType::kWindows, static_cast<std::uint32_t>(i)), week);
     for (const auto& u : week.usages) {
       if (u.app == AppId::kMiscWeb) {
         ++has_misc_web;
@@ -52,7 +52,8 @@ TEST(Workload, FallbackBucketsNearlyUbiquitous) {
 
 TEST(Workload, FlowsMatchUsages) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{7});
-  const auto week = model.generate_week(device_with(OsType::kMacOsX));
+  DeviceWeek week;
+  model.generate_week(device_with(OsType::kMacOsX), week);
   ASSERT_EQ(week.flows.size(), week.usages.size());
   for (std::size_t i = 0; i < week.flows.size(); ++i) {
     EXPECT_EQ(week.flows[i].truth, week.usages[i].app);
@@ -65,9 +66,9 @@ TEST(Workload, DownloadDominatesForMobile) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{9});
   std::uint64_t up = 0;
   std::uint64_t down = 0;
+  DeviceWeek week;
   for (int i = 0; i < 2000; ++i) {
-    const auto week =
-        model.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)));
+    model.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)), week);
     for (const auto& u : week.usages) {
       up += u.upstream_bytes;
       down += u.downstream_bytes;
@@ -79,9 +80,9 @@ TEST(Workload, DownloadDominatesForMobile) {
 
 TEST(Workload, PlatformExclusivesRespected) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{11});
+  DeviceWeek week;
   for (int i = 0; i < 500; ++i) {
-    const auto week =
-        model.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)));
+    model.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)), week);
     for (const auto& u : week.usages) {
       EXPECT_NE(u.app, AppId::kAppleFileSharing);
       EXPECT_NE(u.app, AppId::kWindowsFileSharing);
@@ -94,13 +95,13 @@ TEST(Workload, EpochGrowthInTotalBytes) {
   WorkloadModel before(deploy::Epoch::kJan2014, Rng{13});
   double total_now = 0.0;
   double total_before = 0.0;
+  DeviceWeek week;
   for (int i = 0; i < 3000; ++i) {
-    total_now += static_cast<double>(
-        now.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)))
-            .total_bytes());
-    total_before += static_cast<double>(
-        before.generate_week(device_with(OsType::kAndroid, static_cast<std::uint32_t>(i)))
-            .total_bytes());
+    const auto device = device_with(OsType::kAndroid, static_cast<std::uint32_t>(i));
+    now.generate_week(device, week);
+    total_now += static_cast<double>(week.total_bytes());
+    before.generate_week(device, week);
+    total_before += static_cast<double>(week.total_bytes());
   }
   // Android per-client usage grew ~69% (Table 3).
   EXPECT_GT(total_now / total_before, 1.3);
@@ -108,18 +109,18 @@ TEST(Workload, EpochGrowthInTotalBytes) {
 
 TEST(Workload, EveryDeviceGetsSomething) {
   WorkloadModel model(deploy::Epoch::kJan2015, Rng{17});
+  DeviceWeek week;
   for (int i = 0; i < 300; ++i) {
-    const auto week = model.generate_week(
-        device_with(OsType::kBlackberry, static_cast<std::uint32_t>(i)));
+    model.generate_week(device_with(OsType::kBlackberry, static_cast<std::uint32_t>(i)), week);
     EXPECT_FALSE(week.usages.empty());
   }
 }
 
 TEST(Workload, GenerateWeekIntoMatchesByValueAcrossReusedSlot) {
-  // The out-param overload reuses usage/flow slots across devices; it must
-  // stay in RNG lockstep with the by-value original and trim stale flows
-  // when the next device generates fewer.
-  WorkloadModel by_value(deploy::Epoch::kJan2015, Rng{23});
+  // generate_week reuses usage/flow slots across devices; a reused slot must
+  // match a fresh one from a same-seeded model in lockstep, with stale flows
+  // trimmed when the next device generates fewer.
+  WorkloadModel fresh(deploy::Epoch::kJan2015, Rng{23});
   WorkloadModel into(deploy::Epoch::kJan2015, Rng{23});
   DeviceWeek slot;
   const OsType oses[] = {OsType::kWindows, OsType::kAppleIos, OsType::kAndroid,
@@ -127,7 +128,8 @@ TEST(Workload, GenerateWeekIntoMatchesByValueAcrossReusedSlot) {
   for (int i = 0; i < 200; ++i) {
     const auto dev = device_with(oses[static_cast<std::size_t>(i) % std::size(oses)],
                                  static_cast<std::uint32_t>(i + 1));
-    const auto expected = by_value.generate_week(dev);
+    DeviceWeek expected;
+    fresh.generate_week(dev, expected);
     into.generate_week(dev, slot);
     ASSERT_EQ(slot.usages.size(), expected.usages.size()) << i;
     for (std::size_t u = 0; u < expected.usages.size(); ++u) {

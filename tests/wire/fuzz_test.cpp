@@ -79,33 +79,33 @@ TEST(Fuzz, StreamDecoderSurvivesGarbage) {
 TEST(Fuzz, DnsParserSurvives) {
   Rng rng(4);
   for (int i = 0; i < 3000; ++i) {
-    (void)classify::parse_dns(random_bytes(rng, rng.next_u64() % 200));
+    (void)classify::parse_dns_ex(random_bytes(rng, rng.next_u64() % 200));
   }
   const auto valid = classify::encode_dns_query(7, "fuzz.example.com");
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
     std::vector<std::uint8_t> partial(valid.begin(),
                                       valid.begin() + static_cast<std::ptrdiff_t>(cut));
-    (void)classify::parse_dns(partial);
+    (void)classify::parse_dns_ex(partial);
   }
 }
 
 TEST(Fuzz, TlsParserSurvives) {
   Rng rng(5);
   for (int i = 0; i < 3000; ++i) {
-    (void)classify::parse_client_hello(random_bytes(rng, rng.next_u64() % 300));
+    (void)classify::parse_client_hello_ex(random_bytes(rng, rng.next_u64() % 300));
   }
   auto valid = classify::build_client_hello("fuzz.example.com", 9);
   for (int i = 0; i < 2000; ++i) {
     auto mutated = valid;
     mutated[rng.next_u64() % mutated.size()] ^= static_cast<std::uint8_t>(rng.next_u64());
-    (void)classify::parse_client_hello(mutated);
+    (void)classify::parse_client_hello_ex(mutated);
   }
 }
 
 TEST(Fuzz, DhcpParserSurvives) {
   Rng rng(6);
   for (int i = 0; i < 2000; ++i) {
-    (void)classify::parse_dhcp(random_bytes(rng, rng.next_u64() % 400));
+    (void)classify::parse_dhcp_ex(random_bytes(rng, rng.next_u64() % 400));
   }
   classify::DhcpPacket pkt;
   pkt.client_mac = MacAddress::from_u64(1);
@@ -114,7 +114,7 @@ TEST(Fuzz, DhcpParserSurvives) {
   for (int i = 0; i < 2000; ++i) {
     auto mutated = valid;
     mutated[rng.next_u64() % mutated.size()] ^= static_cast<std::uint8_t>(rng.next_u64());
-    (void)classify::parse_dhcp(mutated);
+    (void)classify::parse_dhcp_ex(mutated);
   }
 }
 

@@ -24,6 +24,13 @@ run_suite() {
 
 run_suite build ""
 
+# Examples: each drives the public API end to end and must exit 0 (set -e
+# stops the run on the first one that does not).
+for example in quickstart site_survey traffic_audit link_monitor fleet_health; do
+  echo "=== example ${example} ==="
+  ./build/examples/"${example}" > /dev/null
+done
+
 # Bench smoke: run the two headline benches at a tiny scale and assert the
 # emitted BENCH JSON parses and carries the telemetry phase profile. The
 # scorecard's paper-figure checks are allowed to fail at this scale (the
@@ -409,10 +416,10 @@ mesh_smoke() {
 mesh_smoke
 
 if [[ "${1:-}" != "--fast" ]]; then
-  # Sanitizer builds skip the `slow` and `perf` labels (fork-based e2e,
-  # golden replays, and the PER-mode fleet-identity gates): the instrumented
-  # binaries run those campaigns 5-20x slower, and the same code paths are
-  # already covered by the unlabeled ckpt/property/determinism tests.
+  # Sanitizer builds skip the `slow` label (fork-based e2e and golden
+  # replays): the instrumented binaries run those campaigns 5-20x slower,
+  # and the same code paths are already covered by the unlabeled
+  # ckpt/property/determinism tests.
   # The `classify` label (rule-engine differential + parser fuzz corpus) is
   # NOT excluded, so both sanitizer lanes sweep the mutated-packet
   # corpus and the 100k-flow oracle diff on every run. Likewise `tsdb`
@@ -422,8 +429,8 @@ if [[ "${1:-}" != "--fast" ]]; then
   # gateway-outage stranding, hop-count goldens, the v6 checkpoint fuzz
   # corpus): their tests are fast and written to be ASan/UBSan-clean, so
   # both sanitizer lanes pick them up automatically.
-  run_suite build-asan "-LE slow|perf" -DWLM_SANITIZE=address
-  run_suite build-tsan "-LE slow|perf" -DWLM_SANITIZE=thread
+  run_suite build-asan "-LE slow" -DWLM_SANITIZE=address
+  run_suite build-tsan "-LE slow" -DWLM_SANITIZE=thread
 fi
 
 echo "=== ci.sh: all suites green ==="
