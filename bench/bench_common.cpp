@@ -4,95 +4,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
-#include <vector>
-
-#include "ckpt/campaign.hpp"
 
 namespace wlm::bench {
-
-namespace {
-
-// Bookkeeping for the JSON trace written at exit. Plain globals: each bench
-// binary calls print_header exactly once, from main. The total-run Timer
-// lives here too; its destructor fires after the atexit hook, so the hook
-// reads it explicitly instead of waiting for the record.
-std::string g_experiment;
-analysis::ScenarioScale g_scale;
-std::optional<Timer> g_total;
-
-void write_bench_json() {
-  const double seconds = g_total ? g_total->seconds() : 0.0;
-  telemetry::global_profiler().record("bench_total", seconds);
-  const char* path = std::getenv("WLM_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_fleetrunner.json";
-  std::FILE* out = std::fopen(path, "a");
-  if (out == nullptr) return;
-  // Throughput = deterministic work count / wall clock. The tally (fragments
-  // classified by shards + report frames harvested by the poller) is fixed by
-  // the scenario, so run-to-run and thread-count comparisons divide the same
-  // numerator — only `seconds` moves.
-  const auto& tally = telemetry::work_tally();
-  const std::uint64_t fragments = tally.fragments.load(std::memory_order_relaxed);
-  const std::uint64_t frames = tally.frames.load(std::memory_order_relaxed);
-  std::fprintf(out,
-               "{\"bench\": \"%s\", \"networks\": %d, \"client_scale\": %.3f, "
-               "\"seed\": %llu, \"threads\": %d, \"seconds\": %.3f, "
-               "\"fragments\": %llu, \"frames\": %llu, %s, "
-               "\"telemetry\": %s}\n",
-               g_experiment.c_str(), g_scale.networks, g_scale.client_scale,
-               static_cast<unsigned long long>(g_scale.seed), g_scale.threads, seconds,
-               static_cast<unsigned long long>(fragments),
-               static_cast<unsigned long long>(frames),
-               rate_rss_fields(fragments + frames, seconds).c_str(),
-               telemetry::global_profiler().to_json().c_str());
-  std::fclose(out);
-}
-
-// Auto-checkpointing: with $WLM_CHECKPOINT_DIR set, every bench campaign
-// checkpoints itself at phase boundaries (throttled by
-// $WLM_CHECKPOINT_EVERY_SIM_HOURS, default: every boundary), so a killed
-// sweep resumes from <dir>/<bench>.wlmckpt instead of replaying from zero.
-// The save cost lands in the profiler under "checkpoint_save", so the
-// BENCH_*.json record shows what the insurance costs.
-void install_auto_checkpoint() {
-  const char* dir = std::getenv("WLM_CHECKPOINT_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  const char* every_env = std::getenv("WLM_CHECKPOINT_EVERY_SIM_HOURS");
-  const double every = every_env != nullptr ? std::atof(every_env) : 0.0;
-  std::string name = g_experiment;
-  for (auto& c : name) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.';
-    if (!keep) c = '_';
-  }
-  const std::string path = std::string(dir) + "/" + name + ".wlmckpt";
-  sim::FleetRunner::set_campaign_phase_hook(
-      [path, every, last_runner = static_cast<sim::FleetRunner*>(nullptr),
-       progress = ckpt::CampaignProgress{}, last_hours = 0.0](
-          sim::FleetRunner& runner, const char* phase) mutable {
-        if (&runner != last_runner) {
-          // A new campaign started (bench binaries often run several);
-          // restart the progress record for it.
-          last_runner = &runner;
-          progress = {};
-          progress.label = g_experiment;
-          last_hours = 0.0;
-        }
-        progress.phases_done.emplace_back(phase);
-        if (every > 0.0 && runner.campaign_sim_hours() - last_hours < every) return;
-        const Timer timer("checkpoint_save");
-        if (const auto err = ckpt::save_campaign_file(path, runner, progress)) {
-          std::fprintf(stderr, "bench: checkpoint to %s failed: %s\n", path.c_str(),
-                       err.detail.c_str());
-          return;
-        }
-        last_hours = runner.campaign_sim_hours();
-      });
-}
-
-}  // namespace
 
 std::string rate_rss_fields(std::uint64_t work_items, double seconds) {
   const double per_sec =
@@ -126,13 +40,6 @@ void print_header(const char* experiment, const analysis::ScenarioScale& scale) 
       experiment, scale.networks, scale.client_scale,
       static_cast<unsigned long long>(scale.seed), scale.threads,
       scale.threads == 1 ? "" : "s");
-  g_experiment = experiment;
-  g_scale = scale;
-  // The Timer's own destructor records "bench_total" again after the atexit
-  // hook runs; that late duplicate is never serialized.
-  g_total.emplace("bench_total");
-  std::atexit(write_bench_json);
-  install_auto_checkpoint();
 }
 
 }  // namespace wlm::bench

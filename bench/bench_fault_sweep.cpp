@@ -15,6 +15,7 @@
 
 #include "bench_common.hpp"
 #include "sim/fleet_runner.hpp"
+#include "telemetry/profile.hpp"
 
 namespace {
 

@@ -16,8 +16,8 @@
 // not just claimed. Identity failures, an RSS over the ceiling, or a
 // compression ratio under 3x exit nonzero.
 //
-// The JSON record appends to $WLM_BENCH_JSON (default ./BENCH_fullscale.json)
-// alongside the standard bench_common record. Knobs:
+// The JSON record appends to $WLM_BENCH_JSON (default ./BENCH_fullscale.json).
+// Knobs:
 //   argv:                        [networks] [client_scale] [seed] [threads]
 //   $WLM_FULLSCALE_CEILING_MB    primary ceiling, MiB (default 10240)
 //   $WLM_FULLSCALE_SPILL_CEILING_MB  spill-forcing ceiling (default 512)
@@ -37,6 +37,7 @@
 #include "core/checksum.hpp"
 #include "sim/fleet_runner.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/profile.hpp"
 #include "wire/messages.hpp"
 
 namespace {
@@ -76,7 +77,7 @@ struct RunResult {
 };
 
 RunResult run_campaign(const analysis::ScenarioScale& scale, std::uint64_t ceiling_mb,
-                       const std::string& spill_dir, int threads, const char* phase) {
+                       const std::string& spill_dir, int threads) {
   mkdir(spill_dir.c_str(), 0755);  // EEXIST is fine
   sim::WorldConfig config;
   config.fleet.epoch = deploy::Epoch::kJan2015;
@@ -89,13 +90,13 @@ RunResult run_campaign(const analysis::ScenarioScale& scale, std::uint64_t ceili
   config.spill_dir = spill_dir;
 
   RunResult r;
-  const bench::Timer timer(phase);
+  const telemetry::Stopwatch watch;
   sim::FleetRunner runner(config);
   runner.run_usage_week();
   runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
   runner.run_link_windows(SimTime::epoch() + Duration::hours(14));
   runner.harvest();
-  r.seconds = timer.seconds();
+  r.seconds = watch.seconds();
   r.stats = runner.fleet_tsdb().stats();
 
   std::uint32_t reports_crc = 0;
@@ -148,7 +149,7 @@ int main(int argc, char** argv) {
   std::printf("primary run: %d networks, jobs 1, ceiling %llu MiB\n", scale.networks,
               static_cast<unsigned long long>(ceiling_mb));
   const RunResult primary = run_campaign(scale, ceiling_mb, spill_dir + "/primary",
-                                         /*threads=*/1, "fullscale_primary");
+                                         /*threads=*/1);
   const std::uint64_t work_primary = tally.fragments.load(std::memory_order_relaxed) +
                                      tally.frames.load(std::memory_order_relaxed) -
                                      work_before;
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
   std::printf("spill run: ceiling %llu MiB, jobs 1\n",
               static_cast<unsigned long long>(spill_ceiling_mb));
   const RunResult spilled = run_campaign(scale, spill_ceiling_mb, spill_dir + "/spill",
-                                         /*threads=*/1, "fullscale_spill");
+                                         /*threads=*/1);
   if (spilled.stats.segments_spilled == 0) {
     std::fprintf(stderr,
                  "bench_fullscale: warning: spill run never spilled (resident stayed "
@@ -193,9 +194,9 @@ int main(int argc, char** argv) {
   std::printf("worker-count runs: ceiling %llu MiB, jobs 2 and 8\n",
               static_cast<unsigned long long>(ceiling_mb));
   const RunResult jobs2 = run_campaign(scale, ceiling_mb, spill_dir + "/jobs2",
-                                       /*threads=*/2, "fullscale_jobs2");
+                                       /*threads=*/2);
   const RunResult jobs8 = run_campaign(scale, ceiling_mb, spill_dir + "/jobs8",
-                                       /*threads=*/8, "fullscale_jobs8");
+                                       /*threads=*/8);
 
   std::printf("output identity vs the primary run:\n");
   const bool spill_same = check_identity("spill-vs-resident", primary.sig, spilled.sig);

@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "sim/fleet_runner.hpp"
+#include "telemetry/profile.hpp"
 
 namespace {
 

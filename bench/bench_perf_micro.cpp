@@ -181,7 +181,7 @@ void emit_classify_contrast() {
     std::fprintf(out, "%s%llu", b == 0 ? "" : ", ",
                  static_cast<unsigned long long>(profile.buckets[b]));
   }
-  // Shared-schema fields (see bench_common print_header): this record's
+  // Shared-schema fields (see bench_common rate_rss_fields): this record's
   // unit of work is one fragment classified; both engines ran the stream
   // once each, so the rate divides double the stream over both passes.
   struct rusage usage {};
@@ -304,7 +304,7 @@ void emit_per_contrast() {
     std::fprintf(stderr, "bench_per: cannot open %s\n", path);
     std::exit(1);
   }
-  // Shared-schema fields (see bench_common print_header): this bench's unit
+  // Shared-schema fields (see bench_common rate_rss_fields): this bench's unit
   // of work is one frame-error decision, so the throughput field carries
   // the fast (table) path's decision rate.
   struct rusage usage {};

@@ -87,9 +87,9 @@ void Poller::poll_all(std::size_t per_tunnel_budget, bool ignore_backoff) {
     }
     if (saw_corrupt) {
       const bool was_quarantined = tc.quarantined;
-      tc.backoff_level = std::min(tc.backoff_level + 1, policy_.max_backoff_level);
+      tc.backoff_level = std::min(tc.backoff_level + 1, kMaxBackoffLevel);
       tc.backoff_remaining = (1 << tc.backoff_level) - 1;
-      tc.quarantined = tc.backoff_level >= policy_.quarantine_level;
+      tc.quarantined = tc.backoff_level >= kQuarantineBackoffLevel;
       if (metrics_) {
         metrics_->gauge("wlm_poller_backoff_level", tc.ap.value())
             .set(static_cast<double>(tc.backoff_level));

@@ -42,26 +42,23 @@ struct TunnelCounters {
   std::uint64_t reports_stored = 0;
   std::uint64_t cycles_backed_off = 0;
   /// Current backoff: the tunnel is skipped for 2^level - 1 cycles after a
-  /// corrupt poll. At `PollerPolicy::quarantine_level` it is quarantined.
+  /// corrupt poll. At kQuarantineBackoffLevel it is quarantined.
   int backoff_level = 0;
   int backoff_remaining = 0;
   bool quarantined = false;
 };
 
-struct PollerPolicy {
-  /// Backoff doubles per consecutive corrupt cycle up to this level
-  /// (2^4 - 1 = 15 skipped cycles between attempts).
-  int max_backoff_level = 4;
-  /// Backoff level at which the tunnel counts as quarantined. Quarantine is
-  /// an alarm state, not a death sentence: the poller still retries at the
-  /// maximum backoff interval, and a clean poll lifts it.
-  int quarantine_level = 4;
-};
+/// Backoff doubles per consecutive corrupt cycle up to this level
+/// (2^4 - 1 = 15 skipped cycles between attempts).
+inline constexpr int kMaxBackoffLevel = 4;
+/// Backoff level at which the tunnel counts as quarantined. Quarantine is
+/// an alarm state, not a death sentence: the poller still retries at the
+/// maximum backoff interval, and a clean poll lifts it.
+inline constexpr int kQuarantineBackoffLevel = 4;
 
 class Poller {
  public:
-  explicit Poller(ReportStore& store, PollerPolicy policy = PollerPolicy{})
-      : store_(&store), policy_(policy) {}
+  explicit Poller(ReportStore& store) : store_(&store) {}
 
   /// Registers a device tunnel; the poller does not own it.
   void attach(Tunnel& tunnel);
@@ -101,7 +98,6 @@ class Poller {
 
  private:
   ReportStore* store_;
-  PollerPolicy policy_;
   std::vector<Tunnel*> tunnels_;
   std::vector<TunnelCounters> counters_;
   PollerStats stats_;

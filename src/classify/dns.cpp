@@ -56,12 +56,6 @@ ParseError read_name(std::span<const std::uint8_t> in, std::size_t& pos, std::st
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_dns_query(std::uint16_t id, std::string_view qname) {
-  std::vector<std::uint8_t> out;
-  encode_dns_query_into(id, qname, out);
-  return out;
-}
-
 void encode_dns_query_into(std::uint16_t id, std::string_view qname,
                            std::vector<std::uint8_t>& out) {
   out.clear();
@@ -120,13 +114,6 @@ ParseError parse_dns_into(std::span<const std::uint8_t> packet, DnsMessage& out)
   }
   if (out.questions.size() > used) out.questions.resize(used);
   return ParseError::kNone;
-}
-
-Parsed<DnsMessage> parse_dns_ex(std::span<const std::uint8_t> packet) {
-  DnsMessage msg;
-  const ParseError err = parse_dns_into(packet, msg);
-  if (err != ParseError::kNone) return Parsed<DnsMessage>::failure(err);
-  return Parsed<DnsMessage>::success(std::move(msg));
 }
 
 }  // namespace wlm::classify

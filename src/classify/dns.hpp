@@ -32,24 +32,19 @@ struct DnsMessage {
 /// more hops than that. Chains past the bound fail with kPointerLoop.
 inline constexpr int kDnsMaxPointerHops = 127;
 
-/// Encodes a single-question query. Names longer than 255 bytes or with
-/// labels over 63 bytes are truncated per-spec limits.
-[[nodiscard]] std::vector<std::uint8_t> encode_dns_query(std::uint16_t id,
-                                                         std::string_view qname);
-
-/// Same encoding written into a caller-owned buffer (cleared first) so a
-/// hot generator loop can reuse one allocation across millions of queries.
+/// Encodes a single-question query into a caller-owned buffer (cleared
+/// first), so a hot generator loop reuses one allocation across millions of
+/// queries. Names longer than 255 bytes or with labels over 63 bytes are
+/// truncated per-spec limits.
 void encode_dns_query_into(std::uint16_t id, std::string_view qname,
                            std::vector<std::uint8_t>& out);
 
-/// Parses header + question section (answers are skipped). Compression
+/// Parses header + question section (answers are skipped) into a
+/// caller-owned message whose question slots (and qname strings) keep their
+/// capacity across packets — for the classifier's hot loop. Compression
 /// pointers in QNAMEs are followed with the kDnsMaxPointerHops bound; every
 /// malformed input fails typed (kTruncated / kBadLength / kPointerLoop).
-[[nodiscard]] Parsed<DnsMessage> parse_dns_ex(std::span<const std::uint8_t> packet);
-
-/// Same parse into a caller-owned message whose question slots (and qname
-/// strings) keep their capacity across packets — for the classifier's hot
-/// loop. Returns kNone on success; `out` is unspecified on failure.
+/// Returns kNone on success; `out` is unspecified on failure.
 ParseError parse_dns_into(std::span<const std::uint8_t> packet, DnsMessage& out);
 
 }  // namespace wlm::classify

@@ -95,22 +95,6 @@ ParseError parse_http_request_into(std::string_view payload, HttpRequestHead& ou
   return ParseError::kNone;
 }
 
-Parsed<HttpRequestHead> parse_http_request_ex(std::string_view payload) {
-  using Result = Parsed<HttpRequestHead>;
-  HttpRequestHead head;
-  const ParseError err = parse_http_request_into(payload, head);
-  if (err != ParseError::kNone) return Result::failure(err);
-  return Result::success(std::move(head));
-}
-
-std::string build_http_request(std::string_view method, std::string_view host,
-                               std::string_view path, std::string_view user_agent,
-                               std::string_view content_type) {
-  std::string out;
-  build_http_request_into(method, host, path, user_agent, content_type, out);
-  return out;
-}
-
 void build_http_request_into(std::string_view method, std::string_view host,
                              std::string_view path, std::string_view user_agent,
                              std::string_view content_type, std::string& out) {

@@ -23,24 +23,19 @@ struct HttpRequestHead {
 /// the classifier's first-byte dispatch keys on exactly this predicate.
 [[nodiscard]] bool http_token_char(char c);
 
-/// Parses the request line and headers from the start of a TCP payload.
-/// Tolerates a truncated header block (classification works from the first
-/// packet of a flow); fails typed — kTruncated for an empty payload,
-/// kBadValue when the request line itself is absent or malformed.
-[[nodiscard]] Parsed<HttpRequestHead> parse_http_request_ex(std::string_view payload);
-
-/// Same parse into a caller-owned head whose strings keep their capacity —
-/// the classifier's hot loop reuses one head across millions of flows. All
-/// fields are cleared first; returns kNone on success.
+/// Parses the request line and headers from the start of a TCP payload
+/// into a caller-owned head whose strings keep their capacity — the
+/// classifier's hot loop reuses one head across millions of flows. All
+/// fields are cleared first. Tolerates a truncated header block
+/// (classification works from the first packet of a flow); fails typed —
+/// kTruncated for an empty payload, kBadValue when the request line itself
+/// is absent or malformed. Returns kNone on success.
 ParseError parse_http_request_into(std::string_view payload, HttpRequestHead& out);
 
-/// Builds a request head for the traffic generator.
-[[nodiscard]] std::string build_http_request(std::string_view method, std::string_view host,
-                                             std::string_view path, std::string_view user_agent,
-                                             std::string_view content_type = {});
-
-/// Same request head appended into a caller-owned string (cleared first) so
-/// the generator's hot loop reuses one allocation across flows.
+/// Builds a request head for the traffic generator into a caller-owned
+/// string (cleared first), so the generator's hot loop reuses one
+/// allocation across flows. An empty user agent or content type omits
+/// that header.
 void build_http_request_into(std::string_view method, std::string_view host,
                              std::string_view path, std::string_view user_agent,
                              std::string_view content_type, std::string& out);

@@ -4,8 +4,8 @@
 // TLS, and DHCP payloads arrive truncated, with lying length fields, and
 // with looping compression chains. Every parser in this module therefore
 // fails *typed* — a ParseError naming what broke — and never crashes or
-// loops. The `_ex` parser variants return Parsed<T>; the original
-// optional-returning entry points remain as thin wrappers.
+// loops. The DNS, HTTP and TLS parsers fill a caller-owned slot and return
+// the ParseError (`_into`); the DHCP parser's `_ex` form returns Parsed<T>.
 #pragma once
 
 #include <cstdint>

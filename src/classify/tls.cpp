@@ -60,12 +60,6 @@ class Reader {
 
 }  // namespace
 
-std::vector<std::uint8_t> build_client_hello(std::string_view sni, std::uint64_t random32) {
-  std::vector<std::uint8_t> out;
-  build_client_hello_into(sni, random32, out);
-  return out;
-}
-
 void build_client_hello_into(std::string_view sni, std::uint64_t random32,
                              std::vector<std::uint8_t>& out) {
   // Single pass into the caller's buffer: every section length is a closed
@@ -167,14 +161,6 @@ ParseError parse_client_hello_into(std::span<const std::uint8_t> record, ClientH
   }
   if (!r.ok()) return ParseError::kTruncated;
   return ParseError::kNone;
-}
-
-Parsed<ClientHelloInfo> parse_client_hello_ex(std::span<const std::uint8_t> record) {
-  using Result = Parsed<ClientHelloInfo>;
-  ClientHelloInfo info;
-  const ParseError err = parse_client_hello_into(record, info);
-  if (err != ParseError::kNone) return Result::failure(err);
-  return Result::success(std::move(info));
 }
 
 }  // namespace wlm::classify

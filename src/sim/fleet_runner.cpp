@@ -11,6 +11,7 @@
 // serializers here keeps failsafe itself sim-independent.
 #include "ckpt/container.hpp"
 #include "ckpt/state.hpp"
+#include "telemetry/profile.hpp"
 
 namespace wlm::sim {
 
@@ -81,29 +82,7 @@ FleetRunner::FleetRunner(WorldConfig config)
   hooks.ledger = [this](std::size_t i) { return shards_[i]->loss_ledger(); };
   supervisor_.configure(config_.supervision, shards_.size(), std::move(hooks));
 
-  record_phase("build", build_watch.seconds());
-}
-
-void FleetRunner::record_phase(const char* phase, double seconds) {
-  profiler_.record(phase, seconds);
-  telemetry::global_profiler().record(phase, seconds);
-}
-
-namespace {
-// Process-global, installed from the orchestrating thread before campaigns
-// start (see set_campaign_phase_hook's contract).
-FleetRunner::CampaignPhaseHook& campaign_phase_hook() {
-  static FleetRunner::CampaignPhaseHook hook;
-  return hook;
-}
-}  // namespace
-
-void FleetRunner::set_campaign_phase_hook(CampaignPhaseHook hook) {
-  campaign_phase_hook() = std::move(hook);
-}
-
-void FleetRunner::notify_phase(const char* phase) {
-  if (auto& hook = campaign_phase_hook()) hook(*this, phase);
+  telemetry::global_profiler().record("build", build_watch.seconds());
 }
 
 void FleetRunner::parallel_for(std::size_t count,
@@ -126,10 +105,6 @@ void FleetRunner::parallel_for(std::size_t count,
   pool.reserve(n);
   for (std::size_t t = 0; t < n; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
-}
-
-void FleetRunner::for_each_shard(const std::function<void(NetworkShard&)>& fn) {
-  parallel_for(shards_.size(), [&](std::size_t i) { fn(*shards_[i]); });
 }
 
 void FleetRunner::run_supervised(const char* phase,
@@ -168,7 +143,7 @@ void FleetRunner::incremental_harvest() {
     std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",
                  tsdb::status_name(err.status), err.detail.c_str());
   }
-  record_phase("incremental_harvest", watch.seconds());
+  telemetry::global_profiler().record("incremental_harvest", watch.seconds());
 }
 
 ApRuntime* FleetRunner::find_ap(ApId id) {
@@ -182,47 +157,40 @@ std::size_t FleetRunner::client_count() const {
   return total;
 }
 
+void FleetRunner::run_campaign_phase(const char* phase, double sim_hours,
+                                     const std::function<void(NetworkShard&)>& fn) {
+  const telemetry::Stopwatch watch;
+  run_supervised(phase, fn);
+  telemetry::global_profiler().record(phase, watch.seconds());
+  campaign_sim_hours_ += sim_hours;
+  if (config_.mem_ceiling_mb > 0) incremental_harvest();
+}
+
 void FleetRunner::run_usage_week(int reports_per_week,
                                  const std::vector<traffic::UpdateSpike>& spikes) {
-  const telemetry::Stopwatch watch;
-  run_supervised("usage_week",
-                 [&](NetworkShard& shard) { shard.run_usage_week(reports_per_week, spikes); });
-  record_phase("usage_week", watch.seconds());
-  campaign_sim_hours_ += Duration::days(7).as_hours();
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("usage_week");
+  run_campaign_phase("usage_week", Duration::days(7).as_hours(), [&](NetworkShard& shard) {
+    shard.run_usage_week(reports_per_week, spikes);
+  });
 }
 
 void FleetRunner::snapshot_clients(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("snapshot", [&](NetworkShard& shard) { shard.snapshot_clients(t); });
-  record_phase("snapshot", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("snapshot");
+  run_campaign_phase("snapshot", 0.0,
+                     [&](NetworkShard& shard) { shard.snapshot_clients(t); });
 }
 
 void FleetRunner::run_mr16_interference(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("mr16", [&](NetworkShard& shard) { shard.run_mr16_interference(t); });
-  record_phase("mr16", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("mr16");
+  run_campaign_phase("mr16", 0.0,
+                     [&](NetworkShard& shard) { shard.run_mr16_interference(t); });
 }
 
 void FleetRunner::run_mr18_scan(SimTime t, double hour) {
-  const telemetry::Stopwatch watch;
-  run_supervised("mr18", [&](NetworkShard& shard) { shard.run_mr18_scan(t, hour); });
-  record_phase("mr18", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("mr18");
+  run_campaign_phase("mr18", 0.0,
+                     [&](NetworkShard& shard) { shard.run_mr18_scan(t, hour); });
 }
 
 void FleetRunner::run_link_windows(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("link_windows", [&](NetworkShard& shard) { shard.run_link_windows(t); });
-  record_phase("link_windows", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("link_windows");
+  run_campaign_phase("link_windows", 0.0,
+                     [&](NetworkShard& shard) { shard.run_link_windows(t); });
 }
 
 void FleetRunner::harvest(HarvestMode mode) {
@@ -232,7 +200,7 @@ void FleetRunner::harvest(HarvestMode mode) {
   const telemetry::Stopwatch drain_watch;
   run_supervised("harvest_drain",
                  [mode](NetworkShard& shard) { shard.harvest_local(mode); });
-  record_phase("harvest_drain", drain_watch.seconds());
+  telemetry::global_profiler().record("harvest_drain", drain_watch.seconds());
 
   const telemetry::Stopwatch merge_watch;
   const std::int64_t now_us = sim_now_us();
@@ -300,8 +268,7 @@ void FleetRunner::harvest(HarvestMode mode) {
   metrics_.gauge("wlm_tsdb_raw_wire_bytes").set(static_cast<double>(ts.raw_wire_bytes));
   metrics_.gauge("wlm_tsdb_segment_bytes").set(static_cast<double>(ts.segment_bytes()));
   metrics_.gauge("wlm_tsdb_compression_ratio").set(ts.compression_ratio());
-  record_phase("harvest_merge", merge_watch.seconds());
-  notify_phase("harvest");
+  telemetry::global_profiler().record("harvest_merge", merge_watch.seconds());
 }
 
 std::vector<SeriesPoint> FleetRunner::link_week_series(std::size_t link_index,

@@ -25,7 +25,6 @@
 #include "failsafe/supervisor.hpp"
 #include "sim/network_shard.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/profile.hpp"
 #include "telemetry/trace.hpp"
 #include "tsdb/fleet_store.hpp"
 
@@ -175,9 +174,9 @@ class FleetRunner {
   /// Merged trace spans, shard-major in fleet order, same rebuild rule.
   [[nodiscard]] const std::vector<telemetry::TraceSpan>& trace() const { return trace_; }
   [[nodiscard]] std::vector<telemetry::TraceSpan>& trace() { return trace_; }
-  /// Wall-clock phase breakdown (build, campaigns, harvest). Real elapsed
-  /// time: NOT deterministic, and never part of metrics()/trace().
-  [[nodiscard]] const telemetry::PhaseProfiler& profiler() const { return profiler_; }
+  // Wall-clock phase timings (build, each campaign, harvest_drain/merge) go
+  // to telemetry::global_profiler(): real elapsed time, NOT deterministic,
+  // and never part of metrics()/trace().
 
   // --- campaign progress ---
 
@@ -187,15 +186,6 @@ class FleetRunner {
   [[nodiscard]] double campaign_sim_hours() const { return campaign_sim_hours_; }
   /// Restore-side overwrite, paired with the checkpoint's progress record.
   void set_campaign_sim_hours(double hours) { campaign_sim_hours_ = hours; }
-
-  /// Process-global hook invoked on the orchestrating thread after every
-  /// campaign phase (and harvest) completes, when shards are quiescent —
-  /// exactly the boundary where a checkpoint cut is safe. Used by
-  /// bench_common's auto-checkpointer; pass nullptr to clear. Not
-  /// thread-safe against concurrently running campaigns: install it before
-  /// the campaign starts.
-  using CampaignPhaseHook = std::function<void(FleetRunner&, const char* phase)>;
-  static void set_campaign_phase_hook(CampaignPhaseHook hook);
 
  private:
   WorldConfig config_;
@@ -207,23 +197,26 @@ class FleetRunner {
   tsdb::FleetStore fleet_tsdb_;
   telemetry::MetricsRegistry metrics_;
   std::vector<telemetry::TraceSpan> trace_;
-  telemetry::PhaseProfiler profiler_;
   failsafe::ShardSupervisor supervisor_;
   double campaign_sim_hours_ = 0.0;
 
   /// Runs `fn(i)` for every i in [0, count) on the worker pool (serial when
   /// threads <= 1). `fn` must confine itself to shard i's state.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-  void for_each_shard(const std::function<void(NetworkShard&)>& fn);
   /// Campaign-phase dispatch under supervision: fans `fn` out across the
   /// worker pool with per-shard exception isolation, then lets the
   /// supervisor restore/retry/quarantine failed shards in fleet order.
   void run_supervised(const char* phase, const std::function<void(NetworkShard&)>& fn);
+  /// One campaign phase end to end: runs `fn` under supervision, records
+  /// its wall clock under `phase`, advances the campaign clock by
+  /// `sim_hours`, then (streaming harvest) seals what the phase produced.
+  void run_campaign_phase(const char* phase, double sim_hours,
+                          const std::function<void(NetworkShard&)>& fn);
   /// Streaming harvest (mem_ceiling_mb > 0): drains connected tunnels in
   /// parallel, seals each shard's batch into the segment vault in fleet
   /// order, releases the shard row stores, and spills if the ceiling
-  /// presses. Runs at every campaign phase boundary, before the phase hook,
-  /// so checkpoint cuts see sealed segments.
+  /// presses. Runs at every campaign phase boundary, so checkpoint cuts
+  /// between phases see sealed segments.
   void incremental_harvest();
   /// Seals one shard's local store into the vault (no-op when empty).
   void seal_shard(std::size_t i);
@@ -232,11 +225,6 @@ class FleetRunner {
   [[nodiscard]] std::int64_t sim_now_us() const {
     return static_cast<std::int64_t>(campaign_sim_hours_ * 3.6e9);
   }
-  /// Records a wall-clock phase into this runner's profiler and the
-  /// process-wide one (telemetry::global_profiler), which bench mains dump.
-  void record_phase(const char* phase, double seconds);
-  /// Fires the process-global campaign phase hook (if any) with this runner.
-  void notify_phase(const char* phase);
 };
 
 }  // namespace wlm::sim

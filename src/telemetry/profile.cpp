@@ -1,7 +1,5 @@
 #include "telemetry/profile.hpp"
 
-#include <cstdio>
-
 namespace wlm::telemetry {
 
 void PhaseProfiler::record(std::string_view phase, double seconds) {
@@ -16,36 +14,14 @@ std::vector<std::pair<std::string, PhaseStats>> PhaseProfiler::phases() const {
   return {phases_.begin(), phases_.end()};
 }
 
-std::string PhaseProfiler::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"phases\":[";
-  bool first = true;
-  for (const auto& [name, stats] : phases_) {
-    if (!first) out += ",";
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", stats.seconds);
-    out += "{\"name\":\"";
-    out += name;
-    out += "\",\"seconds\":";
-    out += buf;
-    out += ",\"count\":";
-    out += std::to_string(stats.count);
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
 void PhaseProfiler::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   phases_.clear();
 }
 
 PhaseProfiler& global_profiler() {
-  // Intentionally leaked: bench Timers with static storage duration record
-  // into this from their destructors, which can run after a function-local
-  // static would already be gone.
+  // Intentionally leaked, so a phase recorded during static destruction
+  // never touches a destroyed profiler.
   static PhaseProfiler* profiler = new PhaseProfiler();
   return *profiler;
 }
@@ -53,8 +29,7 @@ PhaseProfiler& global_profiler() {
 void reset_global_profiler() { global_profiler().clear(); }
 
 WorkTally& work_tally() {
-  // Leaked for the same reason as global_profiler(): the bench JSON writer
-  // runs from an atexit hook, after function-local statics may be gone.
+  // Leaked for the same reason as global_profiler().
   static WorkTally* tally = new WorkTally();
   return *tally;
 }

@@ -1,6 +1,6 @@
 // Wall-clock self-profiling, deliberately quarantined from the metrics
-// registry. Phase timers answer "where do the cycles go" for the bench
-// harness and the fleet runtime; their values are real elapsed seconds and
+// registry. Phase timers answer "where do the cycles go" for the benchmark
+// and the fleet runtime; their values are real elapsed seconds and
 // therefore nondeterministic, so they must NEVER feed anything that claims
 // bit-identity across runs or `--jobs` values. The split is structural:
 // MetricsRegistry holds sim-time facts, PhaseProfiler holds wall-clock
@@ -38,18 +38,15 @@ struct PhaseStats {
   std::uint64_t count = 0;
 };
 
-/// Accumulates named wall-clock phases. Mutex-protected because the bench
-/// harness and worker threads may record concurrently; contention is nil
-/// (phases are recorded once per campaign stage, not per event).
+/// Accumulates named wall-clock phases. Mutex-protected because several
+/// threads may record concurrently; contention is nil (phases are recorded
+/// once per campaign stage, not per event).
 class PhaseProfiler {
  public:
   void record(std::string_view phase, double seconds);
 
   /// Sorted by phase name.
   [[nodiscard]] std::vector<std::pair<std::string, PhaseStats>> phases() const;
-
-  /// JSON fragment: {"phases":[{"name":...,"seconds":...,"count":N},...]}
-  [[nodiscard]] std::string to_json() const;
 
   void clear();
 
@@ -58,40 +55,23 @@ class PhaseProfiler {
   std::map<std::string, PhaseStats> phases_;
 };
 
-/// RAII helper: records the elapsed time into `profiler` at scope exit.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfiler& profiler, std::string phase)
-      : profiler_(profiler), phase_(std::move(phase)) {}
-  ~ScopedPhase() { profiler_.record(phase_, watch_.seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfiler& profiler_;
-  std::string phase_;
-  Stopwatch watch_;
-};
-
-/// Process-wide profiler the bench harness serializes into BENCH_*.json.
-/// FleetRunner mirrors its phase timings here so standalone tools get the
-/// breakdown for free.
+/// Process-wide profiler: FleetRunner records its build, campaign and
+/// harvest phases here, and the benchmark (perfbench) reads them back as
+/// its per-layer timings.
 PhaseProfiler& global_profiler();
 
 /// Zeroes the process-wide profiler. The singleton object itself stays
-/// alive for the whole process (static-duration bench Timers record into it
-/// from destructors, so it is deliberately never destroyed), but phases it
-/// accumulated are dropped — call between bench repetitions so one rep's
-/// timings never bleed into the next rep's BENCH_*.json.
+/// alive for the whole process (it is deliberately never destroyed), but
+/// phases it accumulated are dropped — call between benchmark runs so one
+/// run's timings never bleed into the next.
 void reset_global_profiler();
 
-/// Process-wide tally of simulation work items, used by the bench harness to
+/// Process-wide tally of simulation work items, used by the benchmarks to
 /// report throughput as work/second. The counts themselves are sim-determined
 /// (fragments classified, report frames harvested) and therefore identical
 /// across runs and `--jobs` values — only the division by wall-clock seconds
-/// is nondeterministic, and that happens in the bench JSON writer, never in
-/// anything that claims bit-identity. Atomics because shards on worker
+/// is nondeterministic, and that happens in the benchmark, never in anything
+/// that claims bit-identity. Atomics because shards on worker
 /// threads bump them concurrently; integer addition commutes, so thread
 /// interleaving cannot change the totals.
 struct WorkTally {

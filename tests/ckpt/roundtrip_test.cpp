@@ -139,7 +139,7 @@ TEST(CkptState, ClassifierRoundTripIsByteStable) {
   TwoTierClassifier original(/*cache_capacity=*/3);
   classify::FlowSample sample;
   sample.dst_port = 443;
-  sample.first_payload = classify::build_client_hello("www.netflix.com", 1);
+  classify::build_client_hello_into("www.netflix.com", 1, sample.first_payload);
   for (std::uint64_t i = 0; i < 5; ++i) {
     const FlowKey key{0xBEEF'0000 + i, 10, 20, static_cast<std::uint16_t>(50'000 + i), 443, 6};
     (void)original.classify(key, sample);
@@ -275,15 +275,20 @@ TEST(CkptCampaign, SaveLoadSaveIsIdentity) {
   progress.phases_done = {"usage_week", "harvest"};
   const auto bytes = ckpt::save_campaign(runner, progress);
 
-  ckpt::RestoredCampaign restored;
-  const auto err = ckpt::restore_campaign(bytes, /*threads=*/3, restored);
-  ASSERT_FALSE(err) << err.detail;
-  EXPECT_EQ(restored.progress.label, "roundtrip");
-  ASSERT_EQ(restored.progress.phases_done.size(), 2u);
-  EXPECT_DOUBLE_EQ(restored.runner->campaign_sim_hours(), runner.campaign_sim_hours());
+  // Restore at several worker counts: the rebuild fans out across the pool,
+  // and none of that may leak into the state the checkpoint carries.
+  for (const int threads : {1, 2, 8}) {
+    ckpt::RestoredCampaign restored;
+    const auto err = ckpt::restore_campaign(bytes, threads, restored);
+    ASSERT_FALSE(err) << "threads " << threads << ": " << err.detail;
+    EXPECT_EQ(restored.progress.label, "roundtrip");
+    ASSERT_EQ(restored.progress.phases_done.size(), 2u);
+    EXPECT_DOUBLE_EQ(restored.runner->campaign_sim_hours(), runner.campaign_sim_hours());
 
-  // Identity: the restored runner re-serializes to the exact same container.
-  EXPECT_EQ(ckpt::save_campaign(*restored.runner, restored.progress), bytes);
+    // Identity: the restored runner re-serializes to the exact same container.
+    EXPECT_EQ(ckpt::save_campaign(*restored.runner, restored.progress), bytes)
+        << "threads " << threads;
+  }
 }
 
 TEST(CkptCampaign, CheckpointBytesIdenticalAcrossJobs) {

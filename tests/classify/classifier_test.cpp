@@ -93,7 +93,7 @@ TEST(MetadataExtraction, TlsFlow) {
   FlowSample s;
   s.transport = Transport::kTcp;
   s.dst_port = 443;
-  s.first_payload = build_client_hello("play.spotify.com", 7);
+  build_client_hello_into("play.spotify.com", 7, s.first_payload);
   const auto meta = extract_metadata(s);
   EXPECT_TRUE(meta.saw_tls);
   EXPECT_EQ(meta.sni, "play.spotify.com");
@@ -104,8 +104,8 @@ TEST(MetadataExtraction, HttpFlow) {
   FlowSample s;
   s.transport = Transport::kTcp;
   s.dst_port = 80;
-  const std::string req =
-      build_http_request("GET", "www.hulu.com", "/watch", "UA/1", "video/mp4");
+  std::string req;
+  build_http_request_into("GET", "www.hulu.com", "/watch", "UA/1", "video/mp4", req);
   s.first_payload.assign(req.begin(), req.end());
   const auto meta = extract_metadata(s);
   EXPECT_EQ(meta.http_host, "www.hulu.com");
@@ -117,7 +117,7 @@ TEST(MetadataExtraction, DnsCorrelation) {
   FlowSample s;
   s.transport = Transport::kTcp;
   s.dst_port = 4070;  // spotify's port as secondary evidence
-  s.dns_packet = encode_dns_query(1, "ap.spotify.com");
+  encode_dns_query_into(1, "ap.spotify.com", s.dns_packet);
   const auto meta = extract_metadata(s);
   EXPECT_EQ(meta.dns_hostname, "ap.spotify.com");
   EXPECT_EQ(classify_flow(s), AppId::kSpotify);

@@ -1,9 +1,7 @@
-// Differential harness for the allocation-free `_into` variants the
-// hot-path rewrite added: builders must emit byte-identical packets, parsers
-// must populate identical structures, and — critically — reused scratch
-// slots must not leak state from a previous (larger) input into the next
-// parse. Builders check against their by-value form; parsers and metadata
-// extraction check a reused slot against a fresh one.
+// Differential harness for the allocation-free `_into` builders, parsers
+// and metadata extraction the hot path uses: a slot reused across inputs
+// must hold exactly what a fresh slot holds, so reused scratch never leaks
+// state from a previous (larger) input into the next one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,7 +21,9 @@ TEST(IntoVariants, DnsEncodeMatchesByValue) {
   for (const auto* qname : {"netflix.com", "a.b.c.example", "x", ""}) {
     for (const std::uint16_t id : {0u, 1u, 0xBEEFu}) {
       encode_dns_query_into(id, qname, out);
-      EXPECT_EQ(out, encode_dns_query(id, qname)) << qname << "/" << id;
+      std::vector<std::uint8_t> fresh;
+      encode_dns_query_into(id, qname, fresh);
+      EXPECT_EQ(out, fresh) << qname << "/" << id;
     }
   }
 }
@@ -32,8 +32,10 @@ TEST(IntoVariants, DnsParseReusesSlotsWithoutLeakingState) {
   DnsMessage scratch;
   // Parse a long name first so the scratch question's string has stale
   // capacity, then a short one: results must still equal the fresh parse.
-  const auto long_pkt = encode_dns_query(7, "very-long-subdomain.of.some.example.net");
-  const auto short_pkt = encode_dns_query(9, "io.io");
+  std::vector<std::uint8_t> long_pkt;
+  std::vector<std::uint8_t> short_pkt;
+  encode_dns_query_into(7, "very-long-subdomain.of.some.example.net", long_pkt);
+  encode_dns_query_into(9, "io.io", short_pkt);
   ASSERT_EQ(parse_dns_into(long_pkt, scratch), ParseError::kNone);
   ASSERT_EQ(parse_dns_into(short_pkt, scratch), ParseError::kNone);
   DnsMessage fresh;
@@ -50,15 +52,19 @@ TEST(IntoVariants, TlsBuildMatchesByValue) {
   for (const auto* sni : {"www.netflix.com", "a", ""}) {
     for (const std::uint64_t rnd : {0ULL, 0x0123456789abcdefULL, ~0ULL}) {
       build_client_hello_into(sni, rnd, out);
-      EXPECT_EQ(out, build_client_hello(sni, rnd)) << sni << "/" << rnd;
+      std::vector<std::uint8_t> fresh;
+      build_client_hello_into(sni, rnd, fresh);
+      EXPECT_EQ(out, fresh) << sni << "/" << rnd;
     }
   }
 }
 
 TEST(IntoVariants, TlsParseResetsScratchBetweenCalls) {
   ClientHelloInfo scratch;
-  const auto with_sni = build_client_hello("stale.example.com", 42);
-  const auto without_sni = build_client_hello("", 43);
+  std::vector<std::uint8_t> with_sni;
+  std::vector<std::uint8_t> without_sni;
+  build_client_hello_into("stale.example.com", 42, with_sni);
+  build_client_hello_into("", 43, without_sni);
   ASSERT_EQ(parse_client_hello_into(with_sni, scratch), ParseError::kNone);
   EXPECT_EQ(scratch.sni, "stale.example.com");
   ASSERT_EQ(parse_client_hello_into(without_sni, scratch), ParseError::kNone);
@@ -74,16 +80,24 @@ TEST(IntoVariants, HttpBuildMatchesByValue) {
   std::string out;
   build_http_request_into("GET", "youtube.com", "/watch?v=1",
                           canonical_user_agent(OsType::kAndroid), "", out);
-  EXPECT_EQ(out, build_http_request("GET", "youtube.com", "/watch?v=1",
-                                    canonical_user_agent(OsType::kAndroid)));
+  EXPECT_EQ(out,
+            "GET /watch?v=1 HTTP/1.1\r\nHost: youtube.com\r\nUser-Agent: " +
+                canonical_user_agent(OsType::kAndroid) + "\r\nAccept: */*\r\n\r\n");
+  // The shorter request into the same string must not keep the longer
+  // one's tail.
   build_http_request_into("POST", "x.io", "/", "", "application/json", out);
-  EXPECT_EQ(out, build_http_request("POST", "x.io", "/", "", "application/json"));
+  std::string fresh;
+  build_http_request_into("POST", "x.io", "/", "", "application/json", fresh);
+  EXPECT_EQ(out, fresh);
+  EXPECT_EQ(out, "POST / HTTP/1.1\r\nHost: x.io\r\nContent-Type: application/json\r\n"
+                 "Accept: */*\r\n\r\n");
 }
 
 TEST(IntoVariants, HttpParseClearsAllHeadFields) {
   HttpRequestHead scratch;
-  const std::string rich = build_http_request("GET", "host-one.example", "/a",
-                                              canonical_user_agent(OsType::kWindows));
+  std::string rich;
+  build_http_request_into("GET", "host-one.example", "/a",
+                          canonical_user_agent(OsType::kWindows), "", rich);
   ASSERT_EQ(parse_http_request_into(rich, scratch), ParseError::kNone);
   ASSERT_FALSE(scratch.user_agent.empty());
   const std::string bare = "GET /b HTTP/1.1\r\n\r\n";
@@ -118,16 +132,17 @@ TEST(IntoVariants, ExtractMetadataFastIntoMatchesByValueAcrossReuse) {
     FlowSample s;
     s.transport = Transport::kTcp;
     s.dst_port = 443;
-    s.dns_packet = encode_dns_query(1, "api.dropbox.com");
-    s.first_payload = build_client_hello("api.dropbox.com", 99);
+    encode_dns_query_into(1, "api.dropbox.com", s.dns_packet);
+    build_client_hello_into("api.dropbox.com", 99, s.first_payload);
     samples.push_back(s);
   }
   {
     FlowSample s;
     s.transport = Transport::kTcp;
     s.dst_port = 80;
-    const std::string req = build_http_request("GET", "www.espn.com", "/feed",
-                                               canonical_user_agent(OsType::kMacOsX));
+    std::string req;
+    build_http_request_into("GET", "www.espn.com", "/feed",
+                            canonical_user_agent(OsType::kMacOsX), "", req);
     s.first_payload.assign(req.begin(), req.end());
     samples.push_back(s);
   }

@@ -7,9 +7,10 @@
 //
 //   1. no parser ever crashes or reads out of bounds (the sanitizer lanes
 //      in tools/ci.sh run this suite under ASan/UBSan/TSan);
-//   2. every rejection is typed — Parsed.error is a named ParseError, never
-//      an unexplained nullopt;
-//   3. parsing is deterministic: same bytes, same result, twice;
+//   2. every rejection is typed — a named ParseError, never an unexplained
+//      nullopt;
+//   3. parsing is deterministic: same bytes, same result, twice — and for
+//      the `_into` parsers, whatever a reused slot held before;
 //   4. extract_metadata_fast_into stays metadata-identical to
 //      extract_metadata on arbitrary (not just well-formed) payload bytes.
 #include <gtest/gtest.h>
@@ -95,16 +96,27 @@ void expect_typed_and_deterministic(const Parsed<T>& first, const Parsed<T>& sec
   EXPECT_EQ(first.value.has_value(), second.value.has_value());
 }
 
+/// The same contract for the `_into` parsers, which return only the error:
+/// callers pass the result of a parse into a fresh slot and of one into a
+/// slot reused across the whole corpus.
+void expect_typed_and_deterministic(ParseError first, ParseError second) {
+  EXPECT_LE(static_cast<int>(first), static_cast<int>(ParseError::kPointerLoop));
+  EXPECT_FALSE(parse_error_name(first).empty());
+  EXPECT_EQ(first, second);
+}
+
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParserFuzz, DnsSurvivesMutations) {
   Rng rng{GetParam() ^ 0xD45ULL};
-  const Bytes base = encode_dns_query(0x4242, "deep.api.files.example-service.com");
+  Bytes base;
+  encode_dns_query_into(0x4242, "deep.api.files.example-service.com", base);
+  DnsMessage reused;
   for (int i = 0; i < kMutationsPerSeed; ++i) {
     const Bytes packet = mutate(base, rng);
-    const auto a = parse_dns_ex(packet);
-    const auto b = parse_dns_ex(packet);
-    expect_typed_and_deterministic(a, b);
+    DnsMessage fresh;
+    expect_typed_and_deterministic(parse_dns_into(packet, fresh),
+                                   parse_dns_into(packet, reused));
   }
 }
 
@@ -117,14 +129,13 @@ TEST(ParserFuzzDns, PointerLoopsFailTyped) {
     return p;
   };
 
+  DnsMessage msg;
   {  // pointer to itself
     Bytes p = header();
     p.push_back(0xC0);
     p.push_back(12);
     p.push_back(0);  // qtype/qclass space (never reached)
-    const auto r = parse_dns_ex(p);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.error, ParseError::kPointerLoop);
+    EXPECT_EQ(parse_dns_into(p, msg), ParseError::kPointerLoop);
   }
   {  // two pointers pointing at each other
     Bytes p = header();
@@ -132,9 +143,7 @@ TEST(ParserFuzzDns, PointerLoopsFailTyped) {
     p.push_back(14);  // at 12 -> 14
     p.push_back(0xC0);
     p.push_back(12);  // at 14 -> 12
-    const auto r = parse_dns_ex(p);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.error, ParseError::kPointerLoop);
+    EXPECT_EQ(parse_dns_into(p, msg), ParseError::kPointerLoop);
   }
 
   // A linear chain of N pointers ending in a real name: N hops. The bound
@@ -161,46 +170,50 @@ TEST(ParserFuzzDns, PointerLoopsFailTyped) {
     return p;
   };
 
-  const auto at_cap = parse_dns_ex(chain(kDnsMaxPointerHops));
-  EXPECT_TRUE(at_cap.ok()) << parse_error_name(at_cap.error);
-  ASSERT_EQ(at_cap.value->questions.size(), 1u);
-  EXPECT_EQ(at_cap.value->questions[0].qname, "a");
+  const ParseError at_cap = parse_dns_into(chain(kDnsMaxPointerHops), msg);
+  EXPECT_EQ(at_cap, ParseError::kNone) << parse_error_name(at_cap);
+  ASSERT_EQ(msg.questions.size(), 1u);
+  EXPECT_EQ(msg.questions[0].qname, "a");
 
-  const auto past_cap = parse_dns_ex(chain(kDnsMaxPointerHops + 1));
-  EXPECT_FALSE(past_cap.ok());
-  EXPECT_EQ(past_cap.error, ParseError::kPointerLoop);
+  EXPECT_EQ(parse_dns_into(chain(kDnsMaxPointerHops + 1), msg), ParseError::kPointerLoop);
 }
 
 TEST_P(ParserFuzz, TlsSurvivesMutations) {
   Rng rng{GetParam() ^ 0x715ULL};
-  const Bytes base = build_client_hello("login.fuzz-corpus.example.net", GetParam());
+  Bytes base;
+  build_client_hello_into("login.fuzz-corpus.example.net", GetParam(), base);
+  ClientHelloInfo reused;
   // Every truncation boundary, deterministically.
   for (std::size_t n = 0; n <= base.size(); ++n) {
     const Bytes prefix(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(n));
-    const auto r = parse_client_hello_ex(prefix);
-    expect_typed_and_deterministic(r, parse_client_hello_ex(prefix));
+    ClientHelloInfo fresh;
+    const ParseError err = parse_client_hello_into(prefix, fresh);
+    expect_typed_and_deterministic(err, parse_client_hello_into(prefix, reused));
     if (n < base.size()) {
-      EXPECT_FALSE(r.ok()) << "truncation at " << n << " accepted";
+      EXPECT_NE(err, ParseError::kNone) << "truncation at " << n << " accepted";
     }
   }
   for (int i = 0; i < kMutationsPerSeed; ++i) {
     const Bytes packet = mutate(base, rng);
-    const auto a = parse_client_hello_ex(packet);
-    expect_typed_and_deterministic(a, parse_client_hello_ex(packet));
+    ClientHelloInfo fresh;
+    expect_typed_and_deterministic(parse_client_hello_into(packet, fresh),
+                                   parse_client_hello_into(packet, reused));
   }
 }
 
 TEST_P(ParserFuzz, HttpSurvivesMutations) {
   Rng rng{GetParam() ^ 0x477ULL};
-  const std::string request = build_http_request(
-      "GET", "cdn.fuzz-corpus.example.net", "/stream/v1?id=42",
-      "Mozilla/5.0 (X11; Linux x86_64)", "video/mp4");
+  std::string request;
+  build_http_request_into("GET", "cdn.fuzz-corpus.example.net", "/stream/v1?id=42",
+                          "Mozilla/5.0 (X11; Linux x86_64)", "video/mp4", request);
   const Bytes base(request.begin(), request.end());
+  HttpRequestHead reused;
   for (int i = 0; i < kMutationsPerSeed; ++i) {
     const Bytes packet = mutate(base, rng);
     const std::string_view text(reinterpret_cast<const char*>(packet.data()), packet.size());
-    const auto a = parse_http_request_ex(text);
-    expect_typed_and_deterministic(a, parse_http_request_ex(text));
+    HttpRequestHead fresh;
+    expect_typed_and_deterministic(parse_http_request_into(text, fresh),
+                                   parse_http_request_into(text, reused));
   }
 }
 
@@ -238,10 +251,13 @@ TEST_P(ParserFuzz, DhcpSurvivesMutations) {
 // cascade on arbitrary bytes, not only on well-formed packets.
 TEST_P(ParserFuzz, FastMetadataMatchesReferenceOnArbitraryBytes) {
   Rng rng{GetParam() ^ 0xFA57ULL};
-  const Bytes tls = build_client_hello("a.example.com", 1);
-  const std::string http_str = build_http_request("POST", "b.example.org", "/x", "curl/7.0");
+  Bytes tls;
+  build_client_hello_into("a.example.com", 1, tls);
+  std::string http_str;
+  build_http_request_into("POST", "b.example.org", "/x", "curl/7.0", "", http_str);
   const Bytes http(http_str.begin(), http_str.end());
-  const Bytes dns = encode_dns_query(7, "c.example.net");
+  Bytes dns;
+  encode_dns_query_into(7, "c.example.net", dns);
 
   for (int i = 0; i < kMutationsPerSeed; ++i) {
     FlowSample sample;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/checksum.hpp"
+#include "telemetry/profile.hpp"
 #include "wire/messages.hpp"
 
 namespace wlm::sim {
@@ -96,6 +99,27 @@ TEST(FleetRunner, HarvestDrainsEveryTunnel) {
   for (const auto& shard : runner.shards()) {
     EXPECT_EQ(shard->store().report_count(), 0u);
   }
+}
+
+TEST(FleetRunner, FeedsGlobalProfilerAndWorkTally) {
+  // The benchmark's per-layer timings and work counts are read from these
+  // process-wide sinks, so a runner must keep feeding them.
+  telemetry::reset_global_profiler();
+  telemetry::work_tally().reset();
+  FleetRunner runner(small_fleet(4, 21));
+  runner.run_usage_week(7);
+  runner.harvest();
+  const auto phases = telemetry::global_profiler().phases();
+  for (const char* name : {"build", "usage_week", "harvest_drain", "harvest_merge"}) {
+    const auto it = std::find_if(phases.begin(), phases.end(),
+                                 [&](const auto& p) { return p.first == name; });
+    ASSERT_NE(it, phases.end()) << name;
+    EXPECT_EQ(it->second.count, 1u) << name;
+  }
+  EXPECT_GT(telemetry::work_tally().fragments.load(), 0u);
+  EXPECT_GT(telemetry::work_tally().frames.load(), 0u);
+  telemetry::reset_global_profiler();
+  telemetry::work_tally().reset();
 }
 
 TEST(FleetRunner, ShardRngsAreSubstreamsOfBaseSeed) {

@@ -8,6 +8,7 @@
 
 #include "sim/fleet_runner.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/profile.hpp"
 
 namespace wlm::sim {
 namespace {
@@ -149,8 +150,9 @@ TEST(TelemetryE2E, CleanRunHasNoFaultTelemetry) {
 }
 
 TEST(TelemetryE2E, ProfilerRecordsCampaignPhases) {
+  telemetry::reset_global_profiler();
   const auto runner = run_faulted(faulted_fleet(4, 3, 1));
-  const auto phases = runner->profiler().phases();
+  const auto phases = telemetry::global_profiler().phases();
   const auto has_phase = [&](const char* name) {
     return std::any_of(phases.begin(), phases.end(),
                        [&](const auto& p) { return p.first == name; });

@@ -78,27 +78,31 @@ TEST(Fuzz, StreamDecoderSurvivesGarbage) {
 
 TEST(Fuzz, DnsParserSurvives) {
   Rng rng(4);
+  classify::DnsMessage msg;
   for (int i = 0; i < 3000; ++i) {
-    (void)classify::parse_dns_ex(random_bytes(rng, rng.next_u64() % 200));
+    (void)classify::parse_dns_into(random_bytes(rng, rng.next_u64() % 200), msg);
   }
-  const auto valid = classify::encode_dns_query(7, "fuzz.example.com");
+  std::vector<std::uint8_t> valid;
+  classify::encode_dns_query_into(7, "fuzz.example.com", valid);
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
     std::vector<std::uint8_t> partial(valid.begin(),
                                       valid.begin() + static_cast<std::ptrdiff_t>(cut));
-    (void)classify::parse_dns_ex(partial);
+    (void)classify::parse_dns_into(partial, msg);
   }
 }
 
 TEST(Fuzz, TlsParserSurvives) {
   Rng rng(5);
+  classify::ClientHelloInfo info;
   for (int i = 0; i < 3000; ++i) {
-    (void)classify::parse_client_hello_ex(random_bytes(rng, rng.next_u64() % 300));
+    (void)classify::parse_client_hello_into(random_bytes(rng, rng.next_u64() % 300), info);
   }
-  auto valid = classify::build_client_hello("fuzz.example.com", 9);
+  std::vector<std::uint8_t> valid;
+  classify::build_client_hello_into("fuzz.example.com", 9, valid);
   for (int i = 0; i < 2000; ++i) {
     auto mutated = valid;
     mutated[rng.next_u64() % mutated.size()] ^= static_cast<std::uint8_t>(rng.next_u64());
-    (void)classify::parse_client_hello_ex(mutated);
+    (void)classify::parse_client_hello_into(mutated, info);
   }
 }
 

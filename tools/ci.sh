@@ -31,16 +31,16 @@ for example in quickstart site_survey traffic_audit link_monitor fleet_health; d
   ./build/examples/"${example}" > /dev/null
 done
 
-# Bench smoke: run the two headline benches at a tiny scale and assert the
-# emitted BENCH JSON parses and carries the telemetry phase profile. The
-# scorecard's paper-figure checks are allowed to fail at this scale (the
-# calibration targets assume a full-size fleet); the smoke only cares that
-# the harness itself runs and reports.
+# Bench smoke: run the headline benches at a tiny scale. The scorecard's
+# paper-figure checks are allowed to fail at this scale (the calibration
+# targets assume a full-size fleet); the smoke only cares that the harness
+# itself runs. bench_fault_sweep's records must parse and carry the
+# throughput fields, and a table binary must write nothing but its stdout.
 bench_smoke() {
   local json="build/BENCH_smoke.json"
   rm -f "${json}"
   echo "=== bench smoke (tiny scale) ==="
-  WLM_BENCH_JSON="${json}" ./build/bench/bench_scorecard 12 0.2 7 2 > /dev/null \
+  ./build/bench/bench_scorecard 12 0.2 7 2 > /dev/null \
     || echo "bench_scorecard: nonzero exit tolerated at smoke scale"
   WLM_BENCH_JSON="${json}" ./build/bench/bench_fault_sweep 6 0.2 7 2 > /dev/null
   if [[ ! -s "${json}" ]]; then
@@ -48,38 +48,47 @@ bench_smoke() {
     exit 1
   fi
   if command -v python3 > /dev/null 2>&1; then
-    # Every line must parse as JSON; at least one record (bench_fault_sweep
-    # also appends plain per-cell lines) must carry a non-empty
-    # telemetry.phases profile AND the throughput fields (the work tally is
-    # deterministic, so a zero fragments_frames_per_sec means the counters
-    # came unhooked, not that the machine was slow).
+    # Every line must parse as JSON, and at least one record must carry the
+    # throughput fields (the work tally is deterministic, so a zero
+    # fragments_frames_per_sec means the counters came unhooked, not that
+    # the machine was slow).
     python3 - "${json}" << 'EOF'
 import json, sys
-have_phases = have_throughput = False
+have_throughput = False
 with open(sys.argv[1]) as f:
     for n, line in enumerate(f, 1):
         rec = json.loads(line)  # raises -> nonzero exit on malformed output
-        if rec.get("telemetry", {}).get("phases", []):
-            have_phases = True
         if rec.get("fragments_frames_per_sec", 0) > 0 and rec.get("peak_rss_bytes", 0) > 0:
             have_throughput = True
-if not have_phases:
-    sys.exit("bench smoke: no record carries a telemetry.phases profile")
 if not have_throughput:
     sys.exit("bench smoke: no record carries fragments_frames_per_sec/peak_rss_bytes")
-print(f"bench smoke: {n} JSON lines, telemetry profile + throughput fields present")
+print(f"bench smoke: {n} JSON lines, throughput fields present")
 EOF
   else
-    grep -q '"telemetry": {"phases":\[{' "${json}" || {
-      echo "bench smoke: no telemetry.phases in ${json}" >&2
-      exit 1
-    }
     grep -q '"fragments_frames_per_sec": ' "${json}" || {
       echo "bench smoke: no fragments_frames_per_sec in ${json}" >&2
       exit 1
     }
-    echo "bench smoke: telemetry profile + throughput fields present (grep fallback)"
+    echo "bench smoke: throughput fields present (grep fallback)"
   fi
+
+  # A table binary run from an empty directory must exit 0 and leave the
+  # directory empty.
+  local table3="${PWD}/build/bench/bench_table3_os_usage"
+  local cwd rc=0
+  cwd="$(mktemp -d)"
+  (cd "${cwd}" && "${table3}" 12 0.2 7 2 > /dev/null) || rc=$?
+  if [[ "${rc}" -ne 0 ]]; then
+    echo "bench smoke: bench_table3_os_usage exited ${rc}" >&2
+    exit 1
+  fi
+  if [[ -n "$(ls -A "${cwd}")" ]]; then
+    echo "bench smoke: bench_table3_os_usage wrote into its working directory:" \
+      "$(ls -A "${cwd}")" >&2
+    exit 1
+  fi
+  rmdir "${cwd}"
+  echo "bench smoke: bench_table3_os_usage exits 0 and writes no files"
 }
 bench_smoke
 
@@ -94,6 +103,7 @@ classify_smoke() {
   rm -f "${json}"
   echo "=== classify fast-path smoke ==="
   WLM_CLASSIFY_BENCH_FLOWS=20000 WLM_CLASSIFY_BENCH_JSON="${json}" \
+    WLM_PER_BENCH_JSON=/dev/null \
     ./build/bench/bench_perf_micro --benchmark_filter='^$' > /dev/null
   if [[ ! -s "${json}" ]]; then
     echo "classify smoke: ${json} missing or empty" >&2
