@@ -2,9 +2,12 @@
 
 #include <sys/resource.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include "cli/parse.hpp"
 
 namespace wlm::bench {
 
@@ -23,13 +26,46 @@ std::string rate_rss_fields(std::uint64_t work_items, double seconds) {
   return fields;
 }
 
+namespace {
+
+constexpr const char* kArgNames[] = {"", "networks", "client_scale", "seed", "threads"};
+
+[[noreturn]] void usage_error(char** argv, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [networks] [client_scale] [seed] [threads]\n",
+               argv[0], why.c_str(), argv[0]);
+  std::exit(2);
+}
+
+}  // namespace
+
 analysis::ScenarioScale scale_from_args(int argc, char** argv, int default_networks) {
+  if (argc > 5) usage_error(argv, "too many arguments");
+  const auto reject = [&](int i, const std::string& want) {
+    usage_error(argv, std::string(kArgNames[i]) + " must be " + want + ", got '" + argv[i] + "'");
+  };
   analysis::ScenarioScale scale;
   scale.networks = default_networks;
-  if (argc > 1) scale.networks = std::atoi(argv[1]);
-  if (argc > 2) scale.client_scale = std::atof(argv[2]);
-  if (argc > 3) scale.seed = static_cast<std::uint64_t>(std::atoll(argv[3]));
-  if (argc > 4) scale.threads = std::atoi(argv[4]);
+  if (argc > 1) {
+    const int max = analysis::paper_network_count();
+    const auto v = cli::parse_int(argv[1], 1, max);
+    if (!v) reject(1, "an integer in [1, " + std::to_string(max) + "]");
+    scale.networks = static_cast<int>(*v);
+  }
+  if (argc > 2) {
+    const auto v = cli::parse_double(argv[2]);
+    if (!v || *v < 0.0) reject(2, "a finite number >= 0");
+    scale.client_scale = *v;
+  }
+  if (argc > 3) {
+    const auto v = cli::parse_int(argv[3]);
+    if (!v) reject(3, "an integer");
+    scale.seed = static_cast<std::uint64_t>(*v);
+  }
+  if (argc > 4) {
+    const auto v = cli::parse_int(argv[4], 1, INT_MAX);
+    if (!v) reject(4, "an integer >= 1");
+    scale.threads = static_cast<int>(*v);
+  }
   return scale;
 }
 

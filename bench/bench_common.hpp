@@ -10,7 +10,10 @@ namespace wlm::bench {
 
 /// Scale from argv: bench_x [networks] [client_scale] [seed] [threads].
 /// Benches default to a smaller fleet than the integration tests so that
-/// `for b in build/bench/*; do $b; done` finishes in minutes.
+/// `for b in build/bench/*; do $b; done` finishes in minutes. The bounds are
+/// wlmctl's: networks in [1, 20667], client_scale finite and >= 0, threads
+/// >= 1. A malformed or out-of-range argument prints a usage line and exits
+/// with status 2.
 [[nodiscard]] analysis::ScenarioScale scale_from_args(int argc, char** argv,
                                                       int default_networks = 250);
 

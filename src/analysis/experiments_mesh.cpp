@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
+#include "analysis/world_config.hpp"
 #include "core/table.hpp"
 #include "sim/fleet_runner.hpp"
 
@@ -17,19 +18,8 @@ namespace wlm::analysis {
 namespace {
 
 sim::WorldConfig mesh_world_config(const ScenarioScale& scale) {
-  // Mirrors the usage study's seeding so mesh renders are directly
-  // comparable to Table 3/5/6 runs at the same scale.
-  const deploy::Epoch epoch = deploy::Epoch::kJan2015;
-  sim::WorldConfig cfg;
-  cfg.fleet.epoch = epoch;
-  cfg.fleet.network_count = scale.networks;
-  cfg.fleet.model = deploy::ApModel::kMr16;
-  cfg.fleet.seed = scale.seed ^ (static_cast<std::uint64_t>(epoch) << 32);
-  cfg.client_scale = scale.client_scale;
-  cfg.seed = scale.seed * 1315423911ULL + static_cast<std::uint64_t>(epoch);
-  cfg.threads = scale.threads;
-  cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
-  cfg.spill_dir = scale.spill_dir;
+  sim::WorldConfig cfg =
+      make_world_config(scale, deploy::Epoch::kJan2015, deploy::ApModel::kMr16);
   cfg.mesh = scale.mesh.clamped();
   if (!cfg.mesh.enabled()) cfg.mesh.mesh_fraction = 0.40;  // it is the mesh study
   return cfg;

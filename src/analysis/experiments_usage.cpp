@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analysis/experiments.hpp"
+#include "analysis/world_config.hpp"
 #include "classify/apps.hpp"
 #include "core/chart.hpp"
 #include "core/table.hpp"
@@ -14,8 +15,6 @@
 #include "sim/fleet_runner.hpp"
 
 namespace wlm::analysis {
-
-namespace {
 
 sim::WorldConfig make_world_config(const ScenarioScale& scale, deploy::Epoch epoch,
                                    deploy::ApModel model) {
@@ -31,8 +30,6 @@ sim::WorldConfig make_world_config(const ScenarioScale& scale, deploy::Epoch epo
   cfg.spill_dir = scale.spill_dir;
   return cfg;
 }
-
-}  // namespace
 
 int paper_network_count() { return deploy::total_network_count(); }
 

@@ -25,26 +25,22 @@ std::uint64_t ClientAggregate::downstream() const {
 
 namespace {
 
-/// Marks `ap` sighted: overwrite the flag if the AP is already recorded,
-/// append otherwise (same effect as the old nested map's operator[]).
-void mark_seen(std::vector<std::pair<ApId, bool>>& seen, ApId ap, bool flag) {
-  for (auto& [existing, f] : seen) {
-    if (existing == ap) {
-      f = flag;
-      return;
-    }
+/// Records `ap` as sighted unless it already is.
+void mark_seen(std::vector<ApId>& seen, ApId ap) {
+  for (const ApId existing : seen) {
+    if (existing == ap) return;
   }
-  seen.emplace_back(ap, flag);
+  seen.push_back(ap);
 }
 
-void add_votes(std::vector<std::pair<std::uint8_t, int>>& votes, std::uint8_t os_id, int count) {
+void add_vote(std::vector<std::pair<std::uint8_t, int>>& votes, std::uint8_t os_id) {
   for (auto& [existing, n] : votes) {
     if (existing == os_id) {
-      n += count;
+      n += 1;
       return;
     }
   }
-  votes.emplace_back(os_id, count);
+  votes.emplace_back(os_id, 1);
 }
 
 }  // namespace
@@ -66,7 +62,7 @@ void UsageAggregator::consume(const ReportSource& store, SimTime from, SimTime t
         have_cached = true;
         agg = &clients_[u.client];
         agg->mac = u.client;
-        mark_seen(agg->obs.seen, ap, true);
+        mark_seen(agg->obs.seen, ap);
       }
       auto& bytes = agg->app_bytes[static_cast<classify::AppId>(u.app_id)];
       bytes.first += u.tx_bytes;
@@ -76,33 +72,17 @@ void UsageAggregator::consume(const ReportSource& store, SimTime from, SimTime t
       auto& agg2 = clients_[snap.client];
       agg2.mac = snap.client;
       agg2.capability_bits |= snap.capability_bits;
-      add_votes(agg2.obs.votes, snap.os_id, 1);
-      mark_seen(agg2.obs.seen, ap, true);
+      add_vote(agg2.obs.votes, snap.os_id);
+      mark_seen(agg2.obs.seen, ap);
     }
   });
-  resolve();
-}
-
-void UsageAggregator::merge(const UsageAggregator& other) {
-  for (const auto& [mac, src] : other.clients_) {
-    auto& agg = clients_[mac];
-    agg.mac = mac;
-    agg.capability_bits |= src.capability_bits;
-    for (const auto& [app, bytes] : src.app_bytes) {
-      auto& dst = agg.app_bytes[app];
-      dst.first += bytes.first;
-      dst.second += bytes.second;
-    }
-    for (const auto& [ap, flag] : src.obs.seen) mark_seen(agg.obs.seen, ap, flag);
-    for (const auto& [os_id, count] : src.obs.votes) add_votes(agg.obs.votes, os_id, count);
-  }
   resolve();
 }
 
 void UsageAggregator::resolve() {
   // Per-client OS by majority vote and roaming spread. Vote scan goes over
   // os ids in ascending order (not observation order) so an exact tie
-  // resolves identically on every platform and merge order.
+  // resolves identically on every platform and input order.
   for (auto& [mac, agg] : clients_) {
     int best = 0;
     for (int os_id = 0; os_id < classify::kOsTypeCount; ++os_id) {

@@ -15,19 +15,14 @@
 #include "classify/os.hpp"
 #include "core/ids.hpp"
 
-namespace wlm::ckpt {
-struct AggregatorAccess;  // checkpoint serializer (src/ckpt/state.cpp)
-}
-
 namespace wlm::backend {
 
 /// Flat app -> (up, down) byte map. A client touches a handful of the
 /// catalog's ~30 apps, so a linear scan over one contiguous vector beats a
 /// per-client hash map's bucket array and node allocations — the aggregator
 /// holds one of these per client, millions at fleet scale. Insertion order
-/// is deterministic (input order); every reader either sums (order-free) or
-/// sorts before writing (checkpoint canonical form), so the layout change
-/// is observation-equivalent to the old unordered_map.
+/// is deterministic (input order), and every reader (byte totals, per-app
+/// and per-category rollups) is order-free.
 class AppByteMap {
  public:
   using value_type = std::pair<classify::AppId, std::pair<std::uint64_t, std::uint64_t>>;
@@ -55,7 +50,7 @@ class AppByteMap {
 /// and a linear scan over a handful of APs or OS ids beats a nested hash
 /// map's hashing and node churn.
 struct ClientObservations {
-  std::vector<std::pair<ApId, bool>> seen;          // unique APs, insertion order
+  std::vector<ApId> seen;                           // unique APs, insertion order
   std::vector<std::pair<std::uint8_t, int>> votes;  // unique OS ids, insertion order
 };
 
@@ -65,7 +60,7 @@ struct ClientAggregate {
   classify::OsType os = classify::OsType::kUnknown;
   std::uint32_t capability_bits = 0;
   AppByteMap app_bytes;  // app -> (up, down)
-  ClientObservations obs;  // feeds resolve(); serialized canonically sorted
+  ClientObservations obs;  // feeds resolve()
   int ap_count = 0;  // distinct APs the client appeared on (roaming)
 
   [[nodiscard]] std::uint64_t upstream() const;
@@ -80,13 +75,6 @@ class UsageAggregator {
   /// contract, so the row store and the columnar tsdb segment store feed it
   /// interchangeably (canonical order either way).
   void consume(const ReportSource& store, SimTime from, SimTime to);
-
-  /// Adds another aggregator's observations into this one (per-shard
-  /// aggregation merged backend-side, the same roaming story §2.3 tells
-  /// within one store): bytes sum per (client, app), capability bits OR,
-  /// OS votes add, distinct-AP sets union. OS is then re-resolved over the
-  /// combined votes, so merge(a, b) equals consuming both stores directly.
-  void merge(const UsageAggregator& other);
 
   [[nodiscard]] const std::unordered_map<MacAddress, ClientAggregate>& clients() const {
     return clients_;
@@ -112,18 +100,12 @@ class UsageAggregator {
 
  private:
   /// Recomputes every client's majority OS and roaming spread from the
-  /// accumulated votes; shared by consume() and merge().
+  /// accumulated votes.
   void resolve();
-
-  /// Checkpoint serialization needs the raw vote and sighting records — the
-  /// resolved view alone cannot reproduce how future consume() calls would
-  /// shift a client's majority OS.
-  friend struct ::wlm::ckpt::AggregatorAccess;
 
   // Observations live inside each ClientAggregate (one hash lookup per
   // usage-row run instead of two parallel maps' worth, and ~half the map
-  // nodes at fleet scale). The checkpoint serializer writes the same
-  // canonical sorted sections as the old split layout.
+  // nodes at fleet scale).
   std::unordered_map<MacAddress, ClientAggregate> clients_;
 };
 

@@ -10,21 +10,6 @@ void ReportStore::add(wire::ApReport report) {
   ++total_;
 }
 
-void ReportStore::merge(ReportStore&& other) {
-  for (auto& [ap, reports] : other.by_ap_) {
-    auto& dst = by_ap_[ap];
-    if (dst.empty()) {
-      dst = std::move(reports);
-    } else {
-      dst.insert(dst.end(), std::make_move_iterator(reports.begin()),
-                 std::make_move_iterator(reports.end()));
-    }
-  }
-  total_ += other.total_;
-  other.by_ap_.clear();
-  other.total_ = 0;
-}
-
 const std::vector<wire::ApReport>& ReportStore::reports_for(ApId ap) const {
   static const std::vector<wire::ApReport> kEmpty;
   const auto it = by_ap_.find(ap);

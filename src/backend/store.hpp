@@ -21,14 +21,6 @@ class ReportStore final : public ReportSource {
  public:
   void add(wire::ApReport report);
 
-  /// Moves every report of `other` into this store and leaves `other`
-  /// empty. Per-AP arrival order is preserved: `other`'s reports for an AP
-  /// are appended after any this store already holds for it. Callers that
-  /// need bit-stable global state (the sharded harvest) must merge shards
-  /// in a fixed order — the content is then independent of which worker
-  /// thread filled which shard.
-  void merge(ReportStore&& other);
-
   [[nodiscard]] std::size_t report_count() const override { return total_; }
   [[nodiscard]] std::size_t ap_count() const override { return by_ap_.size(); }
 

@@ -17,15 +17,9 @@ void TimeSeriesStore::ensure_sorted(Series& s) const {
   s.raw_sorted = true;
 }
 
-std::size_t TimeSeriesStore::point_count(const SeriesKey& key) const {
-  const auto it = series_.find(key);
-  if (it == series_.end()) return 0;
-  return it->second.raw.size() + it->second.rollups.size();
-}
-
 std::size_t TimeSeriesStore::total_points() const {
   std::size_t total = 0;
-  for (const auto& [key, s] : series_) total += s.raw.size() + s.rollups.size();
+  for (const auto& [key, s] : series_) total += s.raw.size();
   return total;
 }
 
@@ -35,13 +29,9 @@ std::vector<Point> TimeSeriesStore::query(const SeriesKey& key, SimTime from,
   const auto it = series_.find(key);
   if (it == series_.end()) return out;
   ensure_sorted(it->second);
-  for (const auto& list : {it->second.rollups, it->second.raw}) {
-    for (const auto& p : list) {
-      if (p.time >= from && p.time < to) out.push_back(p);
-    }
+  for (const auto& p : it->second.raw) {
+    if (p.time >= from && p.time < to) out.push_back(p);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Point& a, const Point& b) { return a.time < b.time; });
   return out;
 }
 
@@ -92,104 +82,6 @@ std::vector<Bucket> TimeSeriesStore::downsample(const SeriesKey& key, SimTime fr
     stats.add(p.value);
   }
   flush(bucket_start, stats);
-  return out;
-}
-
-std::optional<Point> TimeSeriesStore::latest(const SeriesKey& key) const {
-  const auto it = series_.find(key);
-  if (it == series_.end()) return std::nullopt;
-  ensure_sorted(it->second);
-  if (!it->second.raw.empty()) return it->second.raw.back();
-  if (!it->second.rollups.empty()) return it->second.rollups.back();
-  return std::nullopt;
-}
-
-void TimeSeriesStore::compact(SimTime now) {
-  const SimTime horizon =
-      SimTime::from_micros(now.as_micros() - retention_.raw_horizon.as_micros());
-  for (auto& [key, s] : series_) {
-    ensure_sorted(s);
-    const auto split = std::lower_bound(
-        s.raw.begin(), s.raw.end(), horizon,
-        [](const Point& p, SimTime t) { return p.time < t; });
-    if (split == s.raw.begin()) continue;
-
-    // Fold [begin, split) into rollup buckets.
-    const Duration width = retention_.rollup_width;
-    std::int64_t bucket_index = -1;
-    RunningStats stats;
-    SimTime bucket_start;
-    auto flush = [&]() {
-      if (stats.count() == 0) return;
-      s.rollups.push_back(Point{bucket_start + width / 2, stats.mean()});
-      stats = RunningStats{};
-    };
-    for (auto it = s.raw.begin(); it != split; ++it) {
-      const std::int64_t idx = it->time.as_micros() / width.as_micros();
-      if (idx != bucket_index) {
-        flush();
-        bucket_index = idx;
-        bucket_start = SimTime::from_micros(idx * width.as_micros());
-      }
-      stats.add(it->value);
-    }
-    flush();
-    s.raw.erase(s.raw.begin(), split);
-    std::stable_sort(s.rollups.begin(), s.rollups.end(),
-                     [](const Point& a, const Point& b) { return a.time < b.time; });
-  }
-}
-
-void TimeSeriesStore::merge(TimeSeriesStore&& other) {
-  for (auto& [key, src] : other.series_) {
-    auto [it, inserted] = series_.try_emplace(key, std::move(src));
-    if (inserted) continue;
-    Series& dst = it->second;
-    // Appending then stable-sorting keeps equal-timestamp points in
-    // this-store-then-other order, the same tie rule append() itself has.
-    if (!src.raw.empty()) {
-      if (dst.raw.empty()) {
-        dst.raw = std::move(src.raw);
-        dst.raw_sorted = src.raw_sorted;
-      } else {
-        if (!src.raw_sorted || src.raw.front().time < dst.raw.back().time) {
-          dst.raw_sorted = false;
-        }
-        dst.raw.insert(dst.raw.end(), src.raw.begin(), src.raw.end());
-      }
-    }
-    if (!src.rollups.empty()) {
-      dst.rollups.insert(dst.rollups.end(), src.rollups.begin(), src.rollups.end());
-      std::stable_sort(dst.rollups.begin(), dst.rollups.end(),
-                       [](const Point& a, const Point& b) { return a.time < b.time; });
-    }
-  }
-  other.series_.clear();
-}
-
-void TimeSeriesStore::for_each_series(
-    const std::function<void(const SeriesKey&, const std::vector<Point>& raw,
-                             const std::vector<Point>& rollups)>& fn) const {
-  for (auto& [key, s] : series_) {
-    ensure_sorted(s);
-    fn(key, s.raw, s.rollups);
-  }
-}
-
-void TimeSeriesStore::restore_series(const SeriesKey& key, std::vector<Point> raw,
-                                     std::vector<Point> rollups) {
-  Series s;
-  s.raw = std::move(raw);
-  s.rollups = std::move(rollups);
-  s.raw_sorted = true;
-  series_[key] = std::move(s);
-}
-
-std::vector<SeriesKey> TimeSeriesStore::keys_for_metric(const std::string& metric) const {
-  std::vector<SeriesKey> out;
-  for (const auto& [key, s] : series_) {
-    if (key.metric == metric) out.push_back(key);
-  }
   return out;
 }
 

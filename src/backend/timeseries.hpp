@@ -3,15 +3,11 @@
 // The paper's backend keeps "a database of time-series measurements of
 // wireless link, client, and application behavior" (abstract) spanning
 // years. This store models that layer: named metric series per entity,
-// append-mostly writes, range queries, bucketed downsampling for charts,
-// and bounded retention so a year of 3-minute scans does not grow without
-// limit (old points collapse into coarser rollups instead of vanishing).
+// append-mostly writes, range queries, and bucketed downsampling for charts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,23 +43,13 @@ struct Bucket {
   std::size_t samples = 0;
 };
 
-/// Retention policy: points older than `raw_horizon` fold into rollups of
-/// width `rollup_width`.
-struct Retention {
-  Duration raw_horizon = Duration::days(7);
-  Duration rollup_width = Duration::hours(1);
-};
-
 class TimeSeriesStore {
  public:
-  explicit TimeSeriesStore(Retention retention = Retention{}) : retention_(retention) {}
-
   /// Appends a sample. Out-of-order appends (late tunnel catch-up after a
   /// WAN outage) are accepted and kept sorted.
   void append(const SeriesKey& key, SimTime t, double value);
 
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
-  [[nodiscard]] std::size_t point_count(const SeriesKey& key) const;
   [[nodiscard]] std::size_t total_points() const;
 
   /// Raw points in [from, to), time-sorted.
@@ -75,44 +61,13 @@ class TimeSeriesStore {
   [[nodiscard]] std::vector<Bucket> downsample(const SeriesKey& key, SimTime from,
                                                SimTime to, Duration width, Agg agg) const;
 
-  /// Latest point of a series, if any.
-  [[nodiscard]] std::optional<Point> latest(const SeriesKey& key) const;
-
-  /// Applies retention relative to `now`: raw points older than the raw
-  /// horizon are replaced by their hourly mean rollups. Idempotent.
-  void compact(SimTime now);
-
-  /// All series keys for a metric (e.g. every AP reporting "util24").
-  [[nodiscard]] std::vector<SeriesKey> keys_for_metric(const std::string& metric) const;
-
-  /// Folds `other`'s series into this store and leaves `other` empty.
-  /// Matching keys interleave their points time-sorted (shards report
-  /// overlapping weeks), like ReportStore::merge at harvest; merge order
-  /// only matters for equal timestamps, so callers needing bit-stable
-  /// output merge shards in fixed fleet order.
-  void merge(TimeSeriesStore&& other);
-
-  /// Visits every series in key order with raw points sorted — the canonical
-  /// iteration checkpoint serialization depends on. Sorting first makes the
-  /// emitted bytes independent of append order.
-  void for_each_series(
-      const std::function<void(const SeriesKey&, const std::vector<Point>& raw,
-                               const std::vector<Point>& rollups)>& fn) const;
-
-  /// Installs one series wholesale (checkpoint restore). Both vectors must
-  /// already be time-sorted, as for_each_series emits them.
-  void restore_series(const SeriesKey& key, std::vector<Point> raw,
-                      std::vector<Point> rollups);
-
  private:
   struct Series {
-    std::vector<Point> raw;       // time-sorted
-    std::vector<Point> rollups;   // hourly means of aged data, time-sorted
+    std::vector<Point> raw;  // time-sorted once ensure_sorted() ran
     bool raw_sorted = true;
   };
   void ensure_sorted(Series& s) const;
 
-  Retention retention_;
   mutable std::map<SeriesKey, Series> series_;
 };
 

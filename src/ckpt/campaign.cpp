@@ -1,8 +1,5 @@
 #include "ckpt/campaign.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "ckpt/state.hpp"
@@ -79,23 +76,7 @@ Error save_campaign_file(const std::string& path, sim::FleetRunner& runner,
   if (failsafe::failpoint_fails("ckpt.save.write")) {
     return {Status::kIo, "injected failpoint: ckpt.save.write"};
   }
-  const auto bytes = save_campaign(runner, progress);
-  // Atomic like Writer::write_file: a crash mid-write must never leave a
-  // half-checkpoint where a resume would find it.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return {Status::kIo, "cannot open " + tmp + " for writing"};
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !closed) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "short write to " + tmp};
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "cannot rename " + tmp + " to " + path};
-  }
-  return {};
+  return write_file_atomic(path, save_campaign(runner, progress));
 }
 
 Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
@@ -198,19 +179,8 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
 }
 
 Error restore_campaign_file(const std::string& path, int threads, RestoredCampaign& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return {Status::kIo, "cannot open " + path + ": " + std::strerror(errno)};
-  }
   std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return {Status::kIo, "read error on " + path};
+  if (auto err = read_file(path, bytes)) return err;
   return restore_campaign(bytes, threads, out);
 }
 

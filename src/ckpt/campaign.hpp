@@ -24,9 +24,7 @@
 // instead of resuming a subtly different campaign.
 //
 // What is deliberately NOT captured: wall-clock profiler data (real time
-// is not simulated state), event-queue callbacks (std::function does not
-// serialize; campaign checkpoints cut at drained-queue points and keep
-// only the ClockState), and the thread count.
+// is not simulated state) and the thread count.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +57,7 @@ struct CampaignProgress {
 [[nodiscard]] std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
                                                       const CampaignProgress& progress);
 
-/// save_campaign() straight to a file (atomic: temp + rename).
+/// save_campaign() straight to a file through write_file_atomic().
 [[nodiscard]] Error save_campaign_file(const std::string& path, sim::FleetRunner& runner,
                                        const CampaignProgress& progress);
 

@@ -1,6 +1,7 @@
 #include "ckpt/container.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -113,7 +114,7 @@ void Writer::add_section(SectionTag tag, std::vector<std::uint8_t> payload) {
   sections_.push_back({tag, std::move(payload)});
 }
 
-std::vector<std::uint8_t> Writer::finish() const {
+std::vector<std::uint8_t> Writer::finish(std::vector<std::uint64_t>* payload_offsets) const {
   std::size_t total = sizeof kMagic + 8;
   for (const auto& s : sections_) total += s.payload.size() + 24;
   std::vector<std::uint8_t> out;
@@ -125,27 +126,10 @@ std::vector<std::uint8_t> Writer::finish() const {
     wire::put_varint(out, static_cast<std::uint64_t>(s.tag));
     wire::put_varint(out, s.payload.size());
     put_u32_le(out, crc32(s.payload));
+    if (payload_offsets != nullptr) payload_offsets->push_back(out.size());
     out.insert(out.end(), s.payload.begin(), s.payload.end());
   }
   return out;
-}
-
-Error Writer::write_file(const std::string& path) const {
-  const auto bytes = finish();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return {Status::kIo, "cannot open " + tmp + " for writing"};
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != bytes.size() || !closed) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "short write to " + tmp};
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "cannot rename " + tmp + " to " + path};
-  }
-  return {};
 }
 
 // --- Reader ---
@@ -205,21 +189,6 @@ Error Reader::load(std::vector<std::uint8_t> bytes) {
   return {};
 }
 
-Error Reader::load_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {Status::kIo, "cannot open " + path};
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return {Status::kIo, "read error on " + path};
-  return load(std::move(bytes));
-}
-
 std::optional<std::span<const std::uint8_t>> Reader::find(SectionTag tag) const {
   for (const auto& s : sections_) {
     if (s.tag == tag) return s.payload;
@@ -233,6 +202,43 @@ std::vector<std::span<const std::uint8_t>> Reader::find_all(SectionTag tag) cons
     if (s.tag == tag) out.push_back(s.payload);
   }
   return out;
+}
+
+// --- whole-file I/O ---
+
+Error write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return {Status::kIo, "cannot open " + tmp + " for writing"};
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != bytes.size() || !flushed || !closed) {
+    std::remove(tmp.c_str());
+    return {Status::kIo, "short write to " + tmp};
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return {Status::kIo, "cannot rename " + tmp + " to " + path};
+  }
+  return {};
+}
+
+Error read_file(const std::string& path, std::vector<std::uint8_t>& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return {Status::kIo, "cannot open " + path + ": " + std::strerror(errno)};
+  }
+  out.clear();
+  std::uint8_t chunk[65536];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
+    out.insert(out.end(), chunk, chunk + n);
+  }
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) return {Status::kIo, "read error on " + path};
+  return {};
 }
 
 }  // namespace wlm::ckpt

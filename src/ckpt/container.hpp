@@ -72,8 +72,7 @@ enum class SectionTag : std::uint64_t {
 // (each with its own internal CRCs) instead of row-encoded reports, the
 // config section carries the streaming-harvest bit (the on/off state is
 // simulated behavior; the ceiling value and spill directory are host
-// resource knobs and stay out, like the thread count), and time-series
-// point lists use the columnar codec (tsdb/series_codec). Version 5: the
+// resource knobs and stay out, like the thread count). Version 5: the
 // config section carries the mobility knobs and shard sections append a
 // mobility block (mobility RNG, per-client motion state, serving BSS, and
 // pending-handoff debounce) when mobility is enabled, so a restored run
@@ -144,11 +143,11 @@ class Cursor {
 class Writer {
  public:
   void add_section(SectionTag tag, std::vector<std::uint8_t> payload);
-  /// Serializes header + all sections.
-  [[nodiscard]] std::vector<std::uint8_t> finish() const;
-  /// finish() to a file, atomically (temp file + rename): a crash mid-write
-  /// never leaves a half-checkpoint at `path`.
-  [[nodiscard]] Error write_file(const std::string& path) const;
+  /// Serializes header + all sections. When `payload_offsets` is given, it
+  /// receives each section's payload byte offset in the result, in section
+  /// order (spill files seek straight to a segment with it).
+  [[nodiscard]] std::vector<std::uint8_t> finish(
+      std::vector<std::uint64_t>* payload_offsets = nullptr) const;
 
  private:
   struct Section {
@@ -170,7 +169,6 @@ class Reader {
 
   /// Takes ownership of the container bytes (payload spans point into it).
   [[nodiscard]] Error load(std::vector<std::uint8_t> bytes);
-  [[nodiscard]] Error load_file(const std::string& path);
 
   [[nodiscard]] const std::vector<Section>& sections() const { return sections_; }
   /// First section with `tag`, nullopt when absent.
@@ -182,5 +180,15 @@ class Reader {
   std::vector<std::uint8_t> bytes_;
   std::vector<Section> sections_;
 };
+
+/// Writes `bytes` to `path` atomically: a temp file beside it is written,
+/// flushed, closed and renamed over `path`, so a crash mid-write never
+/// leaves a half-written file where a reader would find it. Every failure is
+/// kIo and removes the temp file.
+[[nodiscard]] Error write_file_atomic(const std::string& path,
+                                      std::span<const std::uint8_t> bytes);
+
+/// Reads the whole file at `path` into `out`; kIo when it cannot.
+[[nodiscard]] Error read_file(const std::string& path, std::vector<std::uint8_t>& out);
 
 }  // namespace wlm::ckpt

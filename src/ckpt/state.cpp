@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "tsdb/series_codec.hpp"
 #include "wire/messages.hpp"
 
 namespace wlm::ckpt {
@@ -81,24 +80,6 @@ bool load_link(Cursor& c, sim::MeshLink::State& out) {
   if (!load_fading(c, s.slow_drift)) return false;
   s.current_fast_db = c.f64();
   s.current_slow_db = c.f64();
-  if (!c.ok()) return false;
-  out = s;
-  return true;
-}
-
-// --- event-queue clock ---
-
-void save_clock(Buf& b, const sim::EventQueue::ClockState& s) {
-  b.i64(s.now_us);
-  b.u64(s.seq);
-  b.u64(s.executed);
-}
-
-bool load_clock(Cursor& c, sim::EventQueue::ClockState& out) {
-  sim::EventQueue::ClockState s;
-  s.now_us = c.i64();
-  s.seq = c.u64();
-  s.executed = c.u64();
   if (!c.ok()) return false;
   out = s;
   return true;
@@ -257,62 +238,6 @@ bool load_store(Cursor& c, backend::ReportStore& store) {
   return true;
 }
 
-// --- time series ---
-
-void save_timeseries(Buf& b, const backend::TimeSeriesStore& store) {
-  // v4: point lists ride the columnar codec (delta-coded times, dictionary
-  // or fixed64 values) as one length-prefixed byte string per list — the
-  // same compression story as the segment store, ~6x smaller than the old
-  // row encoding for typical telemetry.
-  b.u64(store.series_count());
-  std::vector<std::uint8_t> scratch;
-  const auto put_points = [&](const std::vector<backend::Point>& points) {
-    scratch.clear();
-    tsdb::encode_points(scratch, points);
-    b.bytes(scratch);
-  };
-  store.for_each_series([&](const backend::SeriesKey& key,
-                            const std::vector<backend::Point>& raw,
-                            const std::vector<backend::Point>& rollups) {
-    b.str(key.metric);
-    b.u64(key.entity);
-    put_points(raw);
-    put_points(rollups);
-  });
-}
-
-bool load_timeseries(Cursor& c, backend::TimeSeriesStore& store) {
-  const std::uint64_t series_count = c.u64();
-  if (!c.ok() || !plausible_count(c, series_count, 3)) return false;
-  struct Decoded {
-    backend::SeriesKey key;
-    std::vector<backend::Point> raw;
-    std::vector<backend::Point> rollups;
-  };
-  std::vector<Decoded> decoded;
-  auto load_points = [&](std::vector<backend::Point>& out) {
-    const auto payload = c.bytes();
-    if (!c.ok()) return;
-    std::size_t pos = 0;
-    // The list must decode cleanly AND consume its byte string exactly —
-    // trailing garbage inside a well-framed string is corruption.
-    if (!tsdb::decode_points(payload, pos, out) || pos != payload.size()) c.fail();
-  };
-  for (std::uint64_t s = 0; s < series_count && c.ok(); ++s) {
-    Decoded d;
-    d.key.metric = c.str();
-    d.key.entity = c.u64();
-    load_points(d.raw);
-    load_points(d.rollups);
-    if (c.ok()) decoded.push_back(std::move(d));
-  }
-  if (!c.ok()) return false;
-  for (auto& d : decoded) {
-    store.restore_series(d.key, std::move(d.raw), std::move(d.rollups));
-  }
-  return true;
-}
-
 // --- fleet segment vault ---
 
 bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store) {
@@ -379,184 +304,6 @@ bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store) {
     return false;
   }
   return true;
-}
-
-// --- usage aggregator ---
-
-/// Friend of backend::UsageAggregator: checkpointing needs the raw vote and
-/// sighting maps, which the public resolved view cannot reproduce.
-struct AggregatorAccess {
-  static void save(Buf& b, const backend::UsageAggregator& agg) {
-    // Canonical order: MACs ascending, and every inner map key-sorted.
-    auto sorted_macs = [](const auto& map) {
-      std::vector<MacAddress> macs;
-      macs.reserve(map.size());
-      for (const auto& [mac, unused] : map) macs.push_back(mac);
-      std::sort(macs.begin(), macs.end());
-      return macs;
-    };
-
-    const auto client_macs = sorted_macs(agg.clients_);
-    b.u64(client_macs.size());
-    for (const MacAddress mac : client_macs) {
-      const auto& cl = agg.clients_.at(mac);
-      b.u64(mac.to_u64());
-      b.u64(static_cast<std::uint64_t>(cl.os));
-      b.u64(cl.capability_bits);
-      b.i64(cl.ap_count);
-      std::vector<classify::AppId> apps;
-      apps.reserve(cl.app_bytes.size());
-      for (const auto& [app, unused] : cl.app_bytes) apps.push_back(app);
-      std::sort(apps.begin(), apps.end());
-      b.u64(apps.size());
-      for (const classify::AppId app : apps) {
-        const auto& [up, down] = cl.app_bytes.at(app);
-        b.u64(static_cast<std::uint64_t>(app));
-        b.u64(up);
-        b.u64(down);
-      }
-    }
-
-    // Observations live inside each ClientAggregate now, but the canonical
-    // form stays what it always was — a sightings section then a votes
-    // section, MACs ascending, inner keys sorted — so aggregator checkpoint
-    // bytes are unchanged across the flat-layout rewrite.
-    std::vector<MacAddress> seen_macs;
-    std::vector<MacAddress> vote_macs;
-    seen_macs.reserve(agg.clients_.size());
-    vote_macs.reserve(agg.clients_.size());
-    for (const auto& [mac, cl2] : agg.clients_) {
-      if (!cl2.obs.seen.empty()) seen_macs.push_back(mac);
-      if (!cl2.obs.votes.empty()) vote_macs.push_back(mac);
-    }
-    std::sort(seen_macs.begin(), seen_macs.end());
-    std::sort(vote_macs.begin(), vote_macs.end());
-
-    b.u64(seen_macs.size());
-    for (const MacAddress mac : seen_macs) {
-      auto aps = agg.clients_.at(mac).obs.seen;
-      std::sort(aps.begin(), aps.end(),
-                [](const auto& x, const auto& y) { return x.first < y.first; });
-      b.u64(mac.to_u64());
-      b.u64(aps.size());
-      for (const auto& [ap, flag] : aps) {
-        b.u64(ap.value());
-        b.boolean(flag);
-      }
-    }
-
-    b.u64(vote_macs.size());
-    for (const MacAddress mac : vote_macs) {
-      auto votes = agg.clients_.at(mac).obs.votes;
-      std::sort(votes.begin(), votes.end(),
-                [](const auto& x, const auto& y) { return x.first < y.first; });
-      b.u64(mac.to_u64());
-      b.u64(votes.size());
-      for (const auto& [os, count] : votes) {
-        b.u64(os);
-        b.i64(count);
-      }
-    }
-  }
-
-  static bool load(Cursor& c, backend::UsageAggregator& agg) {
-    backend::UsageAggregator fresh;
-
-    const std::uint64_t n_clients = c.u64();
-    if (!c.ok() || !plausible_count(c, n_clients, 5)) return false;
-    for (std::uint64_t i = 0; i < n_clients && c.ok(); ++i) {
-      const MacAddress mac = MacAddress::from_u64(c.u64());
-      backend::ClientAggregate cl;
-      cl.mac = mac;
-      const std::uint64_t os = c.u64();
-      if (os > 0xFF) c.fail();
-      cl.os = static_cast<classify::OsType>(os);
-      const std::uint64_t caps = c.u64();
-      if (caps > UINT32_MAX) c.fail();
-      cl.capability_bits = static_cast<std::uint32_t>(caps);
-      const std::int64_t ap_count = c.i64();
-      if (ap_count < 0 || ap_count > INT32_MAX) c.fail();
-      cl.ap_count = static_cast<int>(ap_count);
-      const std::uint64_t n_apps = c.u64();
-      if (!c.ok() || !plausible_count(c, n_apps, 3)) return false;
-      for (std::uint64_t a = 0; a < n_apps && c.ok(); ++a) {
-        const std::uint64_t app = c.u64();
-        if (app > 0xFFFF) c.fail();
-        const std::uint64_t up = c.u64();
-        const std::uint64_t down = c.u64();
-        if (c.ok()) cl.app_bytes[static_cast<classify::AppId>(app)] = {up, down};
-      }
-      if (c.ok()) fresh.clients_.emplace(mac, std::move(cl));
-    }
-
-    const std::uint64_t n_seen = c.u64();
-    if (!c.ok() || !plausible_count(c, n_seen, 2)) return false;
-    for (std::uint64_t i = 0; i < n_seen && c.ok(); ++i) {
-      const MacAddress mac = MacAddress::from_u64(c.u64());
-      const std::uint64_t n_aps = c.u64();
-      if (!c.ok() || !plausible_count(c, n_aps, 2)) return false;
-      auto& owner = fresh.clients_[mac];
-      owner.mac = mac;
-      auto& seen = owner.obs.seen;
-      seen.reserve(n_aps);
-      for (std::uint64_t a = 0; a < n_aps && c.ok(); ++a) {
-        const std::uint64_t ap = c.u64();
-        if (ap > UINT32_MAX) c.fail();
-        const bool flag = c.boolean();
-        if (!c.ok()) continue;
-        // Keyed container semantics: a duplicated AP id overwrites its flag.
-        bool found = false;
-        for (auto& [existing, f] : seen) {
-          if (existing == ApId{static_cast<std::uint32_t>(ap)}) {
-            f = flag;
-            found = true;
-            break;
-          }
-        }
-        if (!found) seen.emplace_back(ApId{static_cast<std::uint32_t>(ap)}, flag);
-      }
-    }
-
-    const std::uint64_t n_votes = c.u64();
-    if (!c.ok() || !plausible_count(c, n_votes, 2)) return false;
-    for (std::uint64_t i = 0; i < n_votes && c.ok(); ++i) {
-      const MacAddress mac = MacAddress::from_u64(c.u64());
-      const std::uint64_t n_os = c.u64();
-      if (!c.ok() || !plausible_count(c, n_os, 2)) return false;
-      auto& vote_owner = fresh.clients_[mac];
-      vote_owner.mac = mac;
-      auto& votes = vote_owner.obs.votes;
-      votes.reserve(n_os);
-      for (std::uint64_t o = 0; o < n_os && c.ok(); ++o) {
-        const std::uint64_t os = c.u64();
-        if (os > 0xFF) c.fail();
-        const std::int64_t count = c.i64();
-        if (count < INT32_MIN || count > INT32_MAX) c.fail();
-        if (!c.ok()) continue;
-        bool found = false;
-        for (auto& [existing, n] : votes) {
-          if (existing == static_cast<std::uint8_t>(os)) {
-            n = static_cast<int>(count);
-            found = true;
-            break;
-          }
-        }
-        if (!found) votes.emplace_back(static_cast<std::uint8_t>(os), static_cast<int>(count));
-      }
-    }
-
-    if (!c.ok()) return false;
-    agg = std::move(fresh);
-    return true;
-  }
-};
-
-void save_aggregator(Buf& b, const backend::UsageAggregator& agg) {
-  AggregatorAccess::save(b, agg);
-}
-
-bool load_aggregator(Cursor& c, backend::UsageAggregator& agg) {
-  return AggregatorAccess::load(c, agg);
 }
 
 // --- loss ledger ---

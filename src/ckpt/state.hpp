@@ -23,10 +23,8 @@
 #include <span>
 #include <vector>
 
-#include "backend/aggregate.hpp"
 #include "backend/poller.hpp"
 #include "backend/store.hpp"
-#include "backend/timeseries.hpp"
 #include "backend/tunnel.hpp"
 #include "ckpt/container.hpp"
 #include "core/rng.hpp"
@@ -34,7 +32,6 @@
 #include "fault/injector.hpp"
 #include "fault/loss_ledger.hpp"
 #include "fault/spec.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fleet_runner.hpp"
 #include "sim/link.hpp"
 #include "telemetry/metrics.hpp"
@@ -51,12 +48,6 @@ void save_rng(Buf& b, const Rng::State& s);
 void save_link(Buf& b, const sim::MeshLink::State& s);
 [[nodiscard]] bool load_link(Cursor& c, sim::MeshLink::State& out);
 
-// --- event-queue clock (campaign checkpoints cut at drained-queue
-// points; pending callbacks are process state and are documented as not
-// captured) ---
-void save_clock(Buf& b, const sim::EventQueue::ClockState& s);
-[[nodiscard]] bool load_clock(Cursor& c, sim::EventQueue::ClockState& out);
-
 // --- device tunnel: connection, counters, queued frames (oldest first) ---
 void save_tunnel(Buf& b, const backend::Tunnel& tunnel);
 [[nodiscard]] bool load_tunnel(Cursor& c, backend::Tunnel& tunnel);
@@ -70,11 +61,6 @@ void save_poller(Buf& b, const backend::Poller& poller);
 void save_store(Buf& b, const backend::ReportStore& store);
 [[nodiscard]] bool load_store(Cursor& c, backend::ReportStore& store);
 
-// --- time-series store (key-sorted; raw points sorted before emit; point
-// lists ride the columnar codec, tsdb/series_codec) ---
-void save_timeseries(Buf& b, const backend::TimeSeriesStore& store);
-[[nodiscard]] bool load_timeseries(Cursor& c, backend::TimeSeriesStore& store);
-
 // --- fleet segment vault: every live sealed segment (network id, batch
 // seq, report count, segment bytes), fleet order. Spilled segments are
 // pulled back from their spill file to serialize, so the checkpoint is
@@ -82,10 +68,6 @@ void save_timeseries(Buf& b, const backend::TimeSeriesStore& store);
 // load adopts each segment through its own header/CRC validation. ---
 [[nodiscard]] bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store);
 [[nodiscard]] bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store);
-
-// --- usage aggregator: raw vote/sighting maps, MAC-sorted ---
-void save_aggregator(Buf& b, const backend::UsageAggregator& agg);
-[[nodiscard]] bool load_aggregator(Cursor& c, backend::UsageAggregator& agg);
 
 // --- loss ledger snapshot ---
 void save_ledger(Buf& b, const fault::LossLedger& ledger);

@@ -1,7 +1,6 @@
 #include "classify/apps.hpp"
 
 #include <cassert>
-#include <unordered_map>
 
 namespace wlm::classify {
 
@@ -224,25 +223,6 @@ const AppInfo& app_info(AppId id) {
   const auto idx = static_cast<std::size_t>(id);
   assert(idx < catalog.size());
   return catalog[idx];
-}
-
-std::optional<AppId> app_by_name(std::string_view name) {
-  static const auto index = [] {
-    std::unordered_map<std::string_view, AppId> m;
-    for (const auto& app : catalog_storage()) {
-      if (app.id != AppId::kUnclassified) m.emplace(app.name, app.id);
-    }
-    return m;
-  }();
-  const auto it = index.find(name);
-  if (it == index.end()) return std::nullopt;
-  return it->second;
-}
-
-double catalog_total_tb_2015() {
-  double total = 0.0;
-  for (const auto& app : catalog_storage()) total += app.y2015.terabytes;
-  return total;
 }
 
 }  // namespace wlm::classify

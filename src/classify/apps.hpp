@@ -111,9 +111,5 @@ struct AppInfo {
 [[nodiscard]] std::span<const AppInfo> app_catalog();
 
 [[nodiscard]] const AppInfo& app_info(AppId id);
-[[nodiscard]] std::optional<AppId> app_by_name(std::string_view name);
-
-/// Sum of 2015 client-weeks usage across the catalog (for share computations).
-[[nodiscard]] double catalog_total_tb_2015();
 
 }  // namespace wlm::classify

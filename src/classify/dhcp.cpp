@@ -127,28 +127,4 @@ std::string canonical_vendor_class(OsType os) {
   }
 }
 
-std::optional<OsType> os_from_dhcp_packet(const DhcpPacket& packet) {
-  const auto from_params = os_from_dhcp(packet.parameter_request_list);
-  // Vendor class can break fingerprint ties or rescue unknown lists.
-  const std::string& vc = packet.vendor_class;
-  std::optional<OsType> from_vendor;
-  if (vc.rfind("MSFT", 0) == 0) from_vendor = OsType::kWindows;
-  if (vc.rfind("android", 0) == 0) from_vendor = OsType::kAndroid;
-  if (vc.rfind("Chrome", 0) == 0) from_vendor = OsType::kChromeOs;
-  if (vc.rfind("XBOX", 0) == 0) from_vendor = OsType::kXbox;
-  if (vc.rfind("udhcp", 0) == 0 || vc.rfind("dhcpcd", 0) == 0) {
-    from_vendor = OsType::kLinux;
-  }
-  if (from_params && from_vendor && *from_params != *from_vendor) {
-    // Windows Mobile shares the MSFT vendor class with desktop Windows; the
-    // parameter list is the finer signal. Otherwise trust the vendor class.
-    if (*from_params == OsType::kWindowsMobile && *from_vendor == OsType::kWindows) {
-      return from_params;
-    }
-    return from_vendor;
-  }
-  if (from_params) return from_params;
-  return from_vendor;
-}
-
 }  // namespace wlm::classify

@@ -46,8 +46,4 @@ struct DhcpPacket {
 /// The vendor class string each OS's DHCP client sends (option 60).
 [[nodiscard]] std::string canonical_vendor_class(OsType os);
 
-/// Full device-typing from one DHCP packet: the option-55 fingerprint
-/// first, refined by the vendor class when the list alone is ambiguous.
-[[nodiscard]] std::optional<OsType> os_from_dhcp_packet(const DhcpPacket& packet);
-
 }  // namespace wlm::classify

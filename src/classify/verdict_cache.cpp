@@ -44,12 +44,6 @@ void VerdictCache::record(const FlowKey& key, AppId verdict) {
   }
 }
 
-void VerdictCache::clear() {
-  entries_.clear();
-  fifo_.clear();
-  stats_ = Stats{};
-}
-
 std::vector<VerdictCache::SavedEntry> VerdictCache::snapshot() const {
   std::vector<SavedEntry> out;
   out.reserve(fifo_.size());

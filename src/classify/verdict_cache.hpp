@@ -76,8 +76,6 @@ class VerdictCache {
   /// been seen `slow_fragments` times. Evicts FIFO when at capacity.
   void record(const FlowKey& key, AppId verdict);
 
-  void clear();
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint32_t slow_fragments() const { return slow_fragments_; }

@@ -75,18 +75,4 @@ std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::uint8_t> data
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) { return crc32_update(0, data); }
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  return fnv1a64(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(text.data()),
-                                               text.size()));
-}
-
 }  // namespace wlm

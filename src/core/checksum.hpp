@@ -1,7 +1,7 @@
-// CRC-32 (IEEE 802.3 polynomial) and FNV-1a hashing.
+// CRC-32 (IEEE 802.3 polynomial).
 //
-// CRC-32 guards the telemetry framing layer (wire/framing); FNV-1a is used
-// for stable, platform-independent anonymization of identifiers.
+// CRC-32 guards the telemetry framing layer (wire/framing), checkpoint
+// sections and tsdb segments.
 #pragma once
 
 #include <cstddef>
@@ -16,9 +16,5 @@ namespace wlm {
 
 /// Incremental form: feed `crc` from a previous call (start with 0).
 [[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::uint8_t> data);
-
-/// 64-bit FNV-1a — stable across platforms, good avalanche for short keys.
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view text);
 
 }  // namespace wlm

@@ -9,9 +9,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
-#include <string_view>
 
 namespace wlm {
 
@@ -27,9 +24,6 @@ class MacAddress {
                        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
                        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)}};
   }
-
-  /// Parse "aa:bb:cc:dd:ee:ff" (case-insensitive). Returns nullopt on syntax error.
-  [[nodiscard]] static std::optional<MacAddress> parse(std::string_view text);
 
   [[nodiscard]] constexpr std::uint64_t to_u64() const {
     std::uint64_t v = 0;
@@ -49,7 +43,6 @@ class MacAddress {
   [[nodiscard]] constexpr bool multicast() const { return (octets_[0] & 0x01) != 0; }
 
   [[nodiscard]] constexpr const std::array<std::uint8_t, 6>& octets() const { return octets_; }
-  [[nodiscard]] std::string to_string() const;
 
   auto operator<=>(const MacAddress&) const = default;
 

@@ -106,12 +106,6 @@ std::int64_t Rng::poisson(double mean) {
   return k - 1;
 }
 
-double Rng::rayleigh(double sigma) {
-  double u = uniform();
-  while (u <= 1e-300) u = uniform();
-  return sigma * std::sqrt(-2.0 * std::log(u));
-}
-
 std::size_t Rng::weighted_index(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) total += w > 0.0 ? w : 0.0;
@@ -133,14 +127,6 @@ void Rng::fill_uniform(std::span<double> out) {
   // loops (better scheduling, no per-frame call), not that the stream
   // changes. Any deviation here would break the determinism contract.
   for (double& v : out) v = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-void Rng::fill_normal(std::span<double> out) {
-  for (double& v : out) v = normal();
-}
-
-void Rng::fill_normal(std::span<double> out, double mean, double stddev) {
-  for (double& v : out) v = mean + stddev * normal();
 }
 
 Rng Rng::substream(std::uint64_t base_seed, std::uint64_t stream_id) {

@@ -44,19 +44,13 @@ class Rng {
   /// Poisson-distributed count with given mean (Knuth for small, normal
   /// approximation for large means).
   std::int64_t poisson(double mean);
-  /// Rayleigh-distributed amplitude with scale sigma (fading envelopes).
-  double rayleigh(double sigma);
 
-  /// Batched draws: fills `out` with exactly the values the scalar calls
-  /// would produce in sequence (fill_uniform(out) ≡ out[i] = uniform() in
-  /// index order; likewise fill_normal, including the Box–Muller cache).
-  /// The inner loops consume precomputed blocks instead of calling through
+  /// Batched draw: fills `out` with exactly the values repeated uniform()
+  /// calls would produce (out[i] = uniform() in index order). The inner loops consume precomputed blocks instead of calling through
   /// per frame; substream semantics and checkpointed state are unchanged —
   /// after a fill the generator state equals the state after the scalar
   /// sequence.
   void fill_uniform(std::span<double> out);
-  void fill_normal(std::span<double> out);
-  void fill_normal(std::span<double> out, double mean, double stddev);
 
   /// Index in [0, weights.size()) sampled proportionally to weights.
   /// Zero/negative weights are treated as zero; requires a positive total.

@@ -65,28 +65,6 @@ double quantile(std::span<const double> xs, double p) {
   return EmpiricalCdf{std::vector<double>(xs.begin(), xs.end())}.quantile(p);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x, double weight) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::bin_fraction(std::size_t i) const {
-  return total_ > 0.0 ? counts_[i] / total_ : 0.0;
-}
-
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys) {
   assert(xs.size() == ys.size());
   if (xs.size() < 2) return 0.0;
@@ -101,15 +79,6 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
   }
   cov /= static_cast<double>(xs.size() - 1);
   return cov / (sx.stddev() * sy.stddev());
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
 }
 
 }  // namespace wlm

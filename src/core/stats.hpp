@@ -60,44 +60,7 @@ class EmpiricalCdf {
 /// repeated queries).
 [[nodiscard]] double quantile(std::span<const double> xs, double p);
 
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so that totals are conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double bin_weight(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double total_weight() const { return total_; }
-  /// Fraction of total weight in bin i (0 when empty).
-  [[nodiscard]] double bin_fraction(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
-
 /// Pearson correlation coefficient; 0 when either side has no variance.
 [[nodiscard]] double pearson_correlation(std::span<const double> xs, std::span<const double> ys);
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-  void add(double x);
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool initialized() const { return initialized_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
 
 }  // namespace wlm

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace wlm {
 
@@ -78,9 +77,6 @@ class SimTime {
   [[nodiscard]] constexpr std::int64_t day_index() const {
     return us_ / (24LL * 3600 * 1'000'000);
   }
-
-  /// "d2 07:15:00.250" — compact timestamp for logs and figures.
-  [[nodiscard]] std::string to_string() const;
 
   auto operator<=>(const SimTime&) const = default;
 

@@ -4,10 +4,6 @@
 
 namespace wlm {
 
-PowerDbm combine_power(PowerDbm a, PowerDbm b) {
-  return PowerDbm::from_milliwatts(a.milliwatts() + b.milliwatts());
-}
-
 namespace {
 
 std::string format_value(double v, const char* unit) {

@@ -43,9 +43,6 @@ class PowerDbm {
   double dbm_ = -200.0;  // effectively "no signal"
 };
 
-/// Sum powers in the linear domain (combining interference sources).
-[[nodiscard]] PowerDbm combine_power(PowerDbm a, PowerDbm b);
-
 /// Frequency in MHz with band classification helpers.
 class FrequencyMhz {
  public:

@@ -11,21 +11,6 @@ int Capabilities::spatial_streams() const {
   return 1;
 }
 
-std::string Capabilities::to_string() const {
-  std::string out;
-  if (has(kCap11ac)) {
-    out = "11ac";
-  } else if (has(kCap11n)) {
-    out = "11n";
-  } else {
-    out = "11g";
-  }
-  out += dual_band() ? "/dual-band" : "/2.4-only";
-  out += has(kCap40MHz) ? "/40MHz" : "/20MHz";
-  out += "/" + std::to_string(spatial_streams()) + "ss";
-  return out;
-}
-
 CapabilityTargets capability_targets(Epoch epoch) {
   // Table 4.
   const CapabilityTargets jan2014{0.999, 0.957, 0.489, 0.234, 0.025, 0.077, 0.024, 0.007};

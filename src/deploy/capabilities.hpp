@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/rng.hpp"
 #include "deploy/epoch.hpp"
@@ -31,7 +30,6 @@ struct Capabilities {
   [[nodiscard]] bool has(CapabilityBit b) const { return (bits & b) != 0; }
   [[nodiscard]] bool dual_band() const { return has(kCap5GHz); }
   [[nodiscard]] int spatial_streams() const;
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Marginal prevalence targets for an epoch (fractions in [0,1]).

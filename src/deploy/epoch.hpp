@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace wlm::deploy {
 
@@ -11,7 +10,5 @@ enum class Epoch : std::uint8_t {
   kJul2014,  // "six months ago" for interference comparisons
   kJan2015,  // the primary measurement week (Jan 15-22, 2015)
 };
-
-[[nodiscard]] std::string_view epoch_name(Epoch e);
 
 }  // namespace wlm::deploy

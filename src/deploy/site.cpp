@@ -5,20 +5,6 @@
 
 namespace wlm::deploy {
 
-const char* density_name(Density d) {
-  switch (d) {
-    case Density::kRural:
-      return "rural";
-    case Density::kSuburban:
-      return "suburban";
-    case Density::kUrban:
-      return "urban";
-    case Density::kDenseUrban:
-      return "dense-urban";
-  }
-  return "?";
-}
-
 Site::Site(SiteId id, const SiteConfig& config, Rng& rng) : id_(id), config_(config) {
   // Jittered grid: close to how real surveys place APs for coverage.
   const int n = std::max(1, config.ap_count);
@@ -38,15 +24,6 @@ Site::Site(SiteId id, const SiteConfig& config, Rng& rng) : id_(id), config_(con
     p.y = std::clamp(p.y, 0.0, config.height_m);
     positions_.push_back(p);
   }
-}
-
-phy::Position Site::random_position(Rng& rng) const {
-  return phy::Position{rng.uniform(0.0, config_.width_m), rng.uniform(0.0, config_.height_m)};
-}
-
-int Site::walls_between(const phy::Position& a, const phy::Position& b) const {
-  const double d = phy::distance_m(a, b);
-  return static_cast<int>(d / 10.0 * config_.walls_per_10m);
 }
 
 SiteConfig sample_site_config(Density density, Rng& rng) {

@@ -16,8 +16,6 @@ namespace wlm::deploy {
 /// foreign networks are audible (urban cores see dozens, rural sites few).
 enum class Density : std::uint8_t { kRural, kSuburban, kUrban, kDenseUrban };
 
-[[nodiscard]] const char* density_name(Density d);
-
 struct SiteConfig {
   double width_m = 60.0;
   double height_m = 40.0;
@@ -34,12 +32,6 @@ class Site {
   [[nodiscard]] SiteId id() const { return id_; }
   [[nodiscard]] const SiteConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<phy::Position>& ap_positions() const { return positions_; }
-
-  /// Random in-bounds client position.
-  [[nodiscard]] phy::Position random_position(Rng& rng) const;
-
-  /// Expected interior walls on the path between two points.
-  [[nodiscard]] int walls_between(const phy::Position& a, const phy::Position& b) const;
 
  private:
   SiteId id_;

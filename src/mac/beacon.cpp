@@ -1,60 +1,10 @@
 #include "mac/beacon.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace wlm::mac {
 
 std::int64_t beacon_airtime_us(bool legacy_11b) {
   const Frame f = make_beacon(MacAddress{}, legacy_11b);
   return f.airtime_us();
-}
-
-double beacon_duty_cycle(const std::vector<BeaconSource>& sources) {
-  double duty = 0.0;
-  for (const auto& s : sources) {
-    assert(s.interval_us > 0);
-    const double per_beacon = static_cast<double>(beacon_airtime_us(s.legacy_11b));
-    duty += per_beacon * static_cast<double>(s.ssid_count) / static_cast<double>(s.interval_us);
-  }
-  return std::min(duty, 1.0);
-}
-
-BeaconSchedule::BeaconSchedule(std::int64_t interval_us, std::int64_t offset_us,
-                               std::int64_t airtime_us)
-    : interval_us_(interval_us), offset_us_(offset_us % interval_us), airtime_us_(airtime_us) {
-  assert(interval_us > 0 && airtime_us >= 0 && airtime_us <= interval_us);
-}
-
-int BeaconSchedule::beacons_in_window(std::int64_t start_us, std::int64_t len_us) const {
-  // Beacon k is on air during [offset + k*I, offset + k*I + airtime).
-  // Count k with offset + k*I < start+len and offset + k*I + airtime > start.
-  const std::int64_t end = start_us + len_us;
-  // First k whose transmission has not finished by `start`:
-  // k > (start - airtime - offset) / I.
-  const auto floor_div = [](std::int64_t a, std::int64_t b) {
-    return a >= 0 ? a / b : -((-a + b - 1) / b);
-  };
-  const std::int64_t k_lo = floor_div(start_us - airtime_us_ - offset_us_, interval_us_) + 1;
-  // Last k that starts before `end`: k <= (end - offset - 1) / I.
-  const std::int64_t k_hi = floor_div(end - offset_us_ - 1, interval_us_);
-  return static_cast<int>(std::max<std::int64_t>(0, k_hi - k_lo + 1));
-}
-
-std::int64_t BeaconSchedule::airtime_in_window(std::int64_t start_us, std::int64_t len_us) const {
-  const std::int64_t end = start_us + len_us;
-  const auto floor_div = [](std::int64_t a, std::int64_t b) {
-    return a >= 0 ? a / b : -((-a + b - 1) / b);
-  };
-  const std::int64_t k_lo = floor_div(start_us - airtime_us_ - offset_us_, interval_us_) + 1;
-  const std::int64_t k_hi = floor_div(end - offset_us_ - 1, interval_us_);
-  std::int64_t total = 0;
-  for (std::int64_t k = k_lo; k <= k_hi; ++k) {
-    const std::int64_t tx_start = offset_us_ + k * interval_us_;
-    const std::int64_t tx_end = tx_start + airtime_us_;
-    total += std::max<std::int64_t>(0, std::min(end, tx_end) - std::max(start_us, tx_start));
-  }
-  return total;
 }
 
 }  // namespace wlm::mac

@@ -2,47 +2,17 @@
 //
 // Paper §4.1: every nearby BSSID beacons each 102.4 ms, occupying 0.42 ms
 // (OFDM) or 2.592 ms (802.11b) of airtime per beacon; virtual APs multiply
-// the count. This module computes the resulting baseline duty cycle on a
-// channel — the floor under which client traffic rides.
+// the count. The radio environment turns this into the baseline duty cycle
+// on a channel — the floor under which client traffic rides.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mac/frame.hpp"
 
 namespace wlm::mac {
 
-/// A beaconing network as seen on one channel.
-struct BeaconSource {
-  int ssid_count = 1;        // virtual APs broadcast one beacon per SSID
-  bool legacy_11b = false;   // long-preamble DSSS beacons
-  std::int64_t interval_us = kBeaconIntervalUs;
-};
-
 /// Airtime of one beacon of the given flavor, in microseconds.
 [[nodiscard]] std::int64_t beacon_airtime_us(bool legacy_11b);
-
-/// Fraction of channel time consumed by a set of beacon sources. Caps at 1.
-[[nodiscard]] double beacon_duty_cycle(const std::vector<BeaconSource>& sources);
-
-/// Deterministic beacon schedule used by the scanning radio to decide how
-/// many beacons fall inside a dwell window (paper §5: 5 ms dwells).
-class BeaconSchedule {
- public:
-  /// `offset_us` is the TBTT phase of this BSS within its interval.
-  BeaconSchedule(std::int64_t interval_us, std::int64_t offset_us, std::int64_t airtime_us);
-
-  /// Number of beacon transmissions overlapping [start, start+len) at all.
-  [[nodiscard]] int beacons_in_window(std::int64_t start_us, std::int64_t len_us) const;
-
-  /// Total on-air microseconds of beacon transmission inside the window.
-  [[nodiscard]] std::int64_t airtime_in_window(std::int64_t start_us, std::int64_t len_us) const;
-
- private:
-  std::int64_t interval_us_;
-  std::int64_t offset_us_;
-  std::int64_t airtime_us_;
-};
 
 }  // namespace wlm::mac

@@ -1,28 +1,6 @@
 #include "mac/frame.hpp"
 
-#include <cstdio>
-
 namespace wlm::mac {
-
-const char* frame_type_name(FrameType t) {
-  switch (t) {
-    case FrameType::kBeacon:
-      return "beacon";
-    case FrameType::kProbeRequest:
-      return "probe-req";
-    case FrameType::kProbeResponse:
-      return "probe-resp";
-    case FrameType::kData:
-      return "data";
-    case FrameType::kQosData:
-      return "qos-data";
-    case FrameType::kAck:
-      return "ack";
-    case FrameType::kLinkProbe:
-      return "link-probe";
-  }
-  return "?";
-}
 
 int mac_overhead_bytes(FrameType t) {
   switch (t) {
@@ -37,25 +15,6 @@ int mac_overhead_bytes(FrameType t) {
 
 std::int64_t Frame::airtime_us() const {
   return phy::airtime_us(modulation, total_bytes(), /*long_preamble=*/true);
-}
-
-std::string Frame::to_string() const {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%s %s->%s %dB @%s", frame_type_name(type),
-                source.to_string().c_str(), destination.to_string().c_str(), total_bytes(),
-                phy::rate_info(modulation).name);
-  return buf;
-}
-
-Frame make_link_probe(MacAddress source, bool band_5ghz) {
-  Frame f;
-  f.type = FrameType::kLinkProbe;
-  f.source = source;
-  f.destination = broadcast_mac();
-  f.modulation = band_5ghz ? phy::Modulation::kOfdm6 : phy::Modulation::kDsss1;
-  // 60 bytes total on air (paper §4.2) => payload is the remainder.
-  f.payload_bytes = 60 - mac_overhead_bytes(FrameType::kLinkProbe);
-  return f;
 }
 
 Frame make_beacon(MacAddress bssid, bool legacy_11b) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/ids.hpp"
 #include "core/units.hpp"
@@ -21,8 +20,6 @@ enum class FrameType : std::uint8_t {
   kLinkProbe,  // Meraki 60-byte mesh metric broadcast (paper §4.2)
 };
 
-[[nodiscard]] const char* frame_type_name(FrameType t);
-
 /// MAC header + FCS bytes for a frame type (3-address data format).
 [[nodiscard]] int mac_overhead_bytes(FrameType t);
 
@@ -37,13 +34,7 @@ struct Frame {
   [[nodiscard]] int total_bytes() const { return payload_bytes + mac_overhead_bytes(type); }
   /// On-air duration including PHY preamble/header.
   [[nodiscard]] std::int64_t airtime_us() const;
-
-  [[nodiscard]] std::string to_string() const;
 };
-
-/// The Meraki link-metric probe: 60 bytes on air, broadcast, sent at 1 Mb/s
-/// on 2.4 GHz radios and 6 Mb/s on 5 GHz radios.
-[[nodiscard]] Frame make_link_probe(MacAddress source, bool band_5ghz);
 
 /// A beacon for an SSID; 802.11b beacons occupy 2.592 ms of airtime,
 /// 802.11a/g/n beacons about 0.42 ms (paper §4.1).

@@ -22,12 +22,6 @@ const char* unii_name(Unii u) {
   return "?";
 }
 
-std::string Channel::to_string() const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "ch%d (%s, %.0f MHz)", number, band_name(band), center.mhz());
-  return buf;
-}
-
 FrequencyMhz channel_center(Band band, int number) {
   if (band == Band::k2_4GHz) {
     if (number == 14) return FrequencyMhz{2484.0};

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/units.hpp"
@@ -41,7 +40,6 @@ struct Channel {
   Unii unii = Unii::kNone;
 
   [[nodiscard]] double width_mhz() const { return static_cast<double>(width); }
-  [[nodiscard]] std::string to_string() const;
 
   bool operator==(const Channel&) const = default;
 };

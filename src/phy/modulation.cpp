@@ -111,17 +111,4 @@ std::int64_t airtime_us(Modulation m, int payload_bytes, bool long_preamble) {
   return 16 + 4 + symbols * 4;
 }
 
-Modulation select_rate(double sinr_db, bool ofdm_only) {
-  Modulation best = ofdm_only ? Modulation::kOfdm6 : Modulation::kDsss1;
-  DataRate best_rate = rate_info(best).rate;
-  for (const auto& r : kRates) {
-    if (ofdm_only && !r.is_ofdm) continue;
-    if (sinr_db >= r.sinr_threshold_db && r.rate > best_rate) {
-      best = r.modulation;
-      best_rate = r.rate;
-    }
-  }
-  return best;
-}
-
 }  // namespace wlm::phy

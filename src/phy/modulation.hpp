@@ -60,8 +60,4 @@ struct RateInfo {
 /// preamble + 48 us header used by beacons on the 2.4 GHz band.
 [[nodiscard]] std::int64_t airtime_us(Modulation m, int payload_bytes, bool long_preamble = true);
 
-/// Highest rate whose threshold the SINR clears (minstrel-style ideal pick);
-/// returns the lowest rate when nothing clears.
-[[nodiscard]] Modulation select_rate(double sinr_db, bool ofdm_only);
-
 }  // namespace wlm::phy

@@ -42,16 +42,6 @@ PerTable::PerTable(Modulation m, int payload_bytes)
   }
 }
 
-double PerTable::interpolated(double sinr_db) const {
-  if (!(sinr_db >= kGridMinDb) || !(sinr_db <= kGridMaxDb)) {
-    return packet_error_rate(modulation_, sinr_db, payload_bytes_);
-  }
-  auto i = static_cast<std::size_t>((sinr_db - kGridMinDb) / kGridStepDb);
-  if (i >= kGridPoints - 1) i = kGridPoints - 2;
-  const double t = (sinr_db - grid_sinr_db(static_cast<int>(i))) / kGridStepDb;
-  return per_[i] + t * (per_[i + 1] - per_[i]);
-}
-
 const PerTable& probe_per_table(Modulation m) {
   // Probe frames are 60 bytes on both bands (sim/link.cpp). Magic statics
   // make the first lookup build the tables exactly once, thread-safely;

@@ -68,11 +68,6 @@ class PerTable {
     return PerBounds{lo_[i], hi_[i]};
   }
 
-  /// Deterministic linear interpolation between grid points — the analytics
-  /// approximation (plots, calibration sweeps). Never used on byte-identity
-  /// paths; off-grid SINR falls back to the exact scalar value.
-  [[nodiscard]] double interpolated(double sinr_db) const;
-
   /// Guarded Bernoulli: returns `u < per_exact(sinr_db)` bit-for-bit. The
   /// table decides draws that clear the bracket; draws inside it (a few in
   /// a million) recompute the exact scalar PER. Const and stateless, so one

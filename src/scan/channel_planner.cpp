@@ -1,9 +1,7 @@
 #include "scan/channel_planner.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <map>
 
 namespace wlm::scan {
 
@@ -54,30 +52,6 @@ std::optional<ChannelRecommendation> recommend_channel(
                 rec.switched ? "" : " (kept incumbent)");
   rec.rationale = buf;
   return rec;
-}
-
-std::vector<ChannelScanResult> average_windows(
-    const std::vector<std::vector<ChannelScanResult>>& windows) {
-  std::map<std::pair<int, int>, ChannelScanResult> acc;  // (band, number)
-  std::map<std::pair<int, int>, int> counts;
-  for (const auto& window : windows) {
-    for (const auto& r : window) {
-      const auto key = std::make_pair(static_cast<int>(r.channel.band), r.channel.number);
-      auto [it, inserted] = acc.emplace(key, r);
-      if (!inserted) {
-        it->second.counters += r.counters;
-        it->second.neighbor_count += r.neighbor_count;
-      }
-      ++counts[key];
-    }
-  }
-  std::vector<ChannelScanResult> out;
-  out.reserve(acc.size());
-  for (auto& [key, r] : acc) {
-    r.neighbor_count = r.neighbor_count / std::max(1, counts[key]);
-    out.push_back(r);
-  }
-  return out;
 }
 
 }  // namespace wlm::scan

@@ -41,9 +41,4 @@ struct ChannelRecommendation {
     const std::vector<ChannelScanResult>& results, phy::Band band,
     const PlannerPolicy& policy, std::optional<phy::Channel> current = std::nullopt);
 
-/// Averages several scan windows into one per-channel view before planning
-/// (single 3-minute windows are noisy; the paper aggregates over time).
-[[nodiscard]] std::vector<ChannelScanResult> average_windows(
-    const std::vector<std::vector<ChannelScanResult>>& windows);
-
 }  // namespace wlm::scan

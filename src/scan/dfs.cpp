@@ -25,10 +25,6 @@ std::optional<SimTime> DfsMonitor::occupy(const phy::Channel& channel, SimTime f
   return at;
 }
 
-Duration DfsMonitor::activation_delay(const phy::Channel& channel) const {
-  return channel.requires_dfs ? policy_.cac : Duration{};
-}
-
 AutoChannelAgent::AutoChannelAgent(phy::Channel initial, PlannerPolicy planner,
                                    DfsPolicy dfs)
     : current_(initial), planner_(planner), dfs_(dfs) {}

@@ -3,11 +3,10 @@
 // presence of a radar signal and change channels automatically if one
 // exists or is detected during operation").
 //
-// DfsMonitor models the regulatory state machine per channel: a channel
-// must pass a Channel Availability Check before use, a radar detection
-// forces evacuation, and the channel enters a Non-Occupancy Period. The
-// AutoChannelAgent composes this with the channel planner: it is why
-// fleets gravitate to the DFS-free UNII-1/UNII-3 bands (Figure 2).
+// DfsMonitor models the regulatory state machine per channel: a radar
+// detection forces evacuation, and the channel enters a Non-Occupancy
+// Period. The AutoChannelAgent composes this with the channel planner: it
+// is why fleets gravitate to the DFS-free UNII-1/UNII-3 bands (Figure 2).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,6 @@ struct DfsPolicy {
   /// Probability a radar (weather, airport) is detected on a DFS channel
   /// per occupied hour. Coastal/airport sites run far hotter than inland.
   double radar_prob_per_hour = 0.01;
-  /// Channel Availability Check before first use of a DFS channel.
-  Duration cac = Duration::minutes(1);
   /// Non-Occupancy Period after a detection.
   Duration non_occupancy = Duration::minutes(30);
 };
@@ -44,9 +41,6 @@ class DfsMonitor {
   /// prohibited until t + non_occupancy.
   [[nodiscard]] std::optional<SimTime> occupy(const phy::Channel& channel, SimTime from,
                                               Duration dwell, Rng& rng);
-
-  /// Extra latency before a freshly selected DFS channel can serve (CAC).
-  [[nodiscard]] Duration activation_delay(const phy::Channel& channel) const;
 
   [[nodiscard]] std::uint64_t detections() const { return detections_; }
 

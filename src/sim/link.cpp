@@ -45,13 +45,6 @@ bool MeshLink::probe_with(const ProbeOutcomeModel& model, double u) {
   return phy::probe_delivered(in.modulation, in.sinr_db, in.p_collision, u);
 }
 
-bool MeshLink::probe_once(const ProbeOutcomeModel& model) {
-  // rng_ and the fading generators are independent streams, so drawing the
-  // probe uniform up front is sequence-identical to the original
-  // advance()-then-chance() order.
-  return probe_with(model, rng_.uniform());
-}
-
 MeshLink::WindowResult MeshLink::measure_window(const ProbeOutcomeModel& model, int probes) {
   WindowResult result;
   result.expected = probes;

@@ -42,9 +42,6 @@ class MeshLink {
   [[nodiscard]] phy::Band band() const { return budget_.band; }
   [[nodiscard]] double median_rx_dbm() const { return budget_.median_rx_dbm; }
 
-  /// Simulates one probe at hour `hour`; advances the fading processes.
-  [[nodiscard]] bool probe_once(const ProbeOutcomeModel& model);
-
   /// Simulates a full 300 s window (20 probes); returns (expected, received).
   struct WindowResult {
     int expected = 0;
@@ -100,8 +97,8 @@ class MeshLink {
     double p_collision;
   };
   [[nodiscard]] ProbeInputs probe_inputs(const ProbeOutcomeModel& model) const;
-  /// One probe with the uniform draw `u` supplied by the caller; shared by
-  /// probe_once (scalar draw) and measure_window (batched draws).
+  /// One probe with the uniform draw `u` supplied by the caller
+  /// (measure_window batches the draws); advances the fading processes.
   [[nodiscard]] bool probe_with(const ProbeOutcomeModel& model, double u);
 };
 

@@ -124,9 +124,8 @@ class MetricsRegistry {
 
   /// Adds every metric of `other` into this registry: counters and gauges
   /// sum, histograms merge bucket-wise, missing keys are created. Callers
-  /// needing bit-stable fleet snapshots merge shards in fixed fleet order,
-  /// like backend::ReportStore::merge (sorted storage makes even that
-  /// requirement soft — see file comment).
+  /// needing bit-stable fleet snapshots merge shards in fixed fleet order
+  /// (sorted storage makes even that requirement soft — see file comment).
   void merge(const MetricsRegistry& other);
 
   /// Sorted-key visitation (the exporters' iteration order).

@@ -26,20 +26,4 @@ double diurnal_multiplier(double hour, deploy::Industry industry) {
   }
 }
 
-std::vector<UpdateSpike> sample_update_spikes(Rng& rng) {
-  std::vector<UpdateSpike> spikes;
-  // Roughly one vendor release lands inside any given week (§6.2: "software
-  // updates from Apple and Microsoft would drive large downloads").
-  if (rng.chance(0.5)) {
-    UpdateSpike s;
-    s.start = SimTime::epoch() +
-              Duration::hours(rng.uniform_int(24, 5 * 24)) + Duration::minutes(rng.uniform_int(0, 59));
-    s.affects_apple = rng.chance(0.6);
-    s.affects_windows = !s.affects_apple;
-    s.download_multiplier = rng.uniform(5.0, 12.0);
-    spikes.push_back(s);
-  }
-  return spikes;
-}
-
 }  // namespace wlm::traffic

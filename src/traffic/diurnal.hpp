@@ -33,7 +33,4 @@ struct UpdateSpike {
   }
 };
 
-/// Samples zero or more update spikes across a simulated week.
-[[nodiscard]] std::vector<UpdateSpike> sample_update_spikes(Rng& rng);
-
 }  // namespace wlm::traffic

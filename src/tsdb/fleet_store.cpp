@@ -5,52 +5,8 @@
 #include <sys/stat.h>
 
 #include "ckpt/container.hpp"
-#include "wire/varint.hpp"
 
 namespace wlm::tsdb {
-
-namespace {
-
-/// Walks a finished ckpt container and records each section payload's byte
-/// offset. The container layout is fixed ([tag varint][len varint][crc 4B]
-/// [payload]), so offsets computed here match what a later seek+read finds.
-bool section_offsets(std::span<const std::uint8_t> container,
-                     std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) {
-  std::size_t pos = 8 + 4 + 4;  // magic + version + section count
-  if (container.size() < pos) return false;
-  while (pos < container.size()) {
-    const auto tag = wire::get_varint(container.subspan(pos));
-    if (!tag) return false;
-    pos += tag->consumed;
-    const auto len = wire::get_varint(container.subspan(pos));
-    if (!len) return false;
-    pos += len->consumed + 4;  // skip the crc word
-    if (pos + len->value > container.size()) return false;
-    out.emplace_back(pos, len->value);
-    pos += len->value;
-  }
-  return true;
-}
-
-Error write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return {Status::kIo, "cannot open " + tmp};
-  const std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (wrote != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "short write to " + tmp};
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return {Status::kIo, "cannot rename " + tmp};
-  }
-  return {};
-}
-
-}  // namespace
 
 void FleetStore::append_store(std::uint32_t network_id, backend::ReportStore&& store) {
   if (store.report_count() == 0) return;
@@ -144,17 +100,16 @@ Error FleetStore::maybe_spill() {
   for (const std::size_t i : resident) {
     writer.add_section(ckpt::SectionTag::kTsdbSegments, segments_[i].bytes);
   }
-  const std::vector<std::uint8_t> container = writer.finish();
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> offsets;
-  if (!section_offsets(container, offsets) || offsets.size() != resident.size()) {
-    return {Status::kMalformed, "spill container self-walk failed"};
+  std::vector<std::uint64_t> offsets;
+  const std::vector<std::uint8_t> container = writer.finish(&offsets);
+  if (const auto err = ckpt::write_file_atomic(path, container)) {
+    return {Status::kIo, err.detail};
   }
-  if (auto err = write_file_atomic(path, container)) return err;
 
   for (std::size_t k = 0; k < resident.size(); ++k) {
     Segment& seg = segments_[resident[k]];
     seg.spill_file = path;
-    seg.spill_offset = offsets[k].first;
+    seg.spill_offset = offsets[k];
     seg.bytes = {};
     stats_.resident_bytes -= seg.size;
     stats_.spilled_bytes += seg.size;

@@ -116,101 +116,6 @@ TEST(Aggregate, RollupsByOsAndApp) {
   EXPECT_EQ(apps.at(AppId::kNetflix).clients, 1u);
 }
 
-TEST(AggregateMerge, CombinesClientsByMac) {
-  // A roaming client whose reports landed on two different shards: the
-  // merged view must look exactly like a single-backend aggregation.
-  const auto mac = MacAddress::from_u64(0xABC);
-  ReportStore store_a;
-  ReportStore store_b;
-  store_a.add(usage_report(1, mac, AppId::kYouTube, 100, 900));
-  store_b.add(usage_report(2, mac, AppId::kYouTube, 50, 450));
-  store_b.add(usage_report(3, mac, AppId::kNetflix, 10, 90));
-  UsageAggregator a;
-  UsageAggregator b;
-  a.consume(store_a, SimTime::epoch(), SimTime::from_micros(10));
-  b.consume(store_b, SimTime::epoch(), SimTime::from_micros(10));
-  a.merge(b);
-  ASSERT_EQ(a.client_count(), 1u);
-  const auto& client = a.clients().at(mac);
-  EXPECT_EQ(client.ap_count, 3);
-  EXPECT_EQ(client.upstream(), 160u);
-  EXPECT_EQ(client.downstream(), 1440u);
-  EXPECT_EQ(client.app_bytes.at(AppId::kYouTube).second, 1350u);
-}
-
-TEST(AggregateMerge, OsMajorityDecidedAcrossShards) {
-  // One Linux sighting on shard A, two Android sightings on shard B:
-  // neither shard alone sees the majority, the merge must.
-  const auto mac = MacAddress::from_u64(0xDEF);
-  const auto sighting = [&](std::uint32_t ap, OsType os) {
-    wire::ApReport r;
-    r.ap_id = ap;
-    r.timestamp_us = 1;
-    wire::ClientSnapshot snap;
-    snap.client = mac;
-    snap.os_id = static_cast<std::uint8_t>(os);
-    r.clients.push_back(snap);
-    return r;
-  };
-  ReportStore store_a;
-  ReportStore store_b;
-  store_a.add(sighting(1, OsType::kLinux));
-  store_b.add(sighting(2, OsType::kAndroid));
-  store_b.add(sighting(3, OsType::kAndroid));
-  UsageAggregator a;
-  UsageAggregator b;
-  a.consume(store_a, SimTime::epoch(), SimTime::from_micros(10));
-  b.consume(store_b, SimTime::epoch(), SimTime::from_micros(10));
-  EXPECT_EQ(a.clients().at(mac).os, OsType::kLinux);
-  a.merge(b);
-  EXPECT_EQ(a.clients().at(mac).os, OsType::kAndroid);
-}
-
-TEST(AggregateMerge, EquivalentToSingleAggregator) {
-  ReportStore store_a;
-  ReportStore store_b;
-  Rng rng(9);
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    const auto up = rng.next_u64() % 10'000;
-    const auto down = rng.next_u64() % 100'000;
-    auto r = usage_report(i % 7, MacAddress::from_u64(i % 40),
-                          static_cast<AppId>(1 + i % 30), up, down);
-    (i % 2 == 0 ? store_a : store_b).add(r);
-  }
-  UsageAggregator merged;
-  UsageAggregator b;
-  merged.consume(store_a, SimTime::epoch(), SimTime::from_micros(10));
-  b.consume(store_b, SimTime::epoch(), SimTime::from_micros(10));
-  merged.merge(b);
-
-  UsageAggregator reference;
-  reference.consume(store_a, SimTime::epoch(), SimTime::from_micros(10));
-  reference.consume(store_b, SimTime::epoch(), SimTime::from_micros(10));
-
-  ASSERT_EQ(merged.client_count(), reference.client_count());
-  for (const auto& [mac, want] : reference.clients()) {
-    const auto& got = merged.clients().at(mac);
-    EXPECT_EQ(got.total(), want.total());
-    EXPECT_EQ(got.ap_count, want.ap_count);
-    EXPECT_EQ(got.os, want.os);
-    EXPECT_EQ(got.capability_bits, want.capability_bits);
-  }
-}
-
-TEST(AggregateMerge, MergeWithEmptyIsIdentity) {
-  ReportStore store;
-  store.add(usage_report(1, MacAddress::from_u64(5), AppId::kGmail, 10, 20));
-  UsageAggregator agg;
-  agg.consume(store, SimTime::epoch(), SimTime::from_micros(10));
-  UsageAggregator empty;
-  agg.merge(empty);
-  EXPECT_EQ(agg.client_count(), 1u);
-  EXPECT_EQ(agg.clients().at(MacAddress::from_u64(5)).total(), 30u);
-  empty.merge(agg);
-  EXPECT_EQ(empty.client_count(), 1u);
-  EXPECT_EQ(empty.clients().at(MacAddress::from_u64(5)).total(), 30u);
-}
-
 TEST(Aggregate, CategoryClientsAreDistinct) {
   // A client using two video apps counts once in the Video & music row.
   ReportStore store;

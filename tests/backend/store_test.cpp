@@ -65,66 +65,5 @@ TEST(Store, ArrivalOrderPreservedPerAp) {
   EXPECT_EQ(reports[1].timestamp_us, 100);
 }
 
-TEST(Store, MergeAppendsAfterExistingPerAp) {
-  ReportStore dst;
-  dst.add(make(1, 100));
-  ReportStore src;
-  src.add(make(1, 200));
-  src.add(make(1, 300));
-  src.add(make(2, 400));
-  dst.merge(std::move(src));
-  EXPECT_EQ(dst.report_count(), 4u);
-  const auto& ap1 = dst.reports_for(ApId{1});
-  ASSERT_EQ(ap1.size(), 3u);
-  EXPECT_EQ(ap1[0].timestamp_us, 100);
-  EXPECT_EQ(ap1[1].timestamp_us, 200);
-  EXPECT_EQ(ap1[2].timestamp_us, 300);
-  EXPECT_EQ(dst.reports_for(ApId{2}).size(), 1u);
-}
-
-TEST(Store, MergeLeavesSourceEmpty) {
-  ReportStore dst;
-  ReportStore src;
-  src.add(make(7, 1));
-  dst.merge(std::move(src));
-  EXPECT_EQ(src.report_count(), 0u);  // NOLINT(bugprone-use-after-move): documented post-state
-  EXPECT_EQ(src.ap_count(), 0u);
-  EXPECT_EQ(dst.report_count(), 1u);
-}
-
-TEST(Store, MergeEmptySourceIsNoOp) {
-  ReportStore dst;
-  dst.add(make(3, 50));
-  dst.merge(ReportStore{});
-  EXPECT_EQ(dst.report_count(), 1u);
-  EXPECT_EQ(dst.reports_for(ApId{3}).size(), 1u);
-}
-
-TEST(Store, FixedMergeOrderGivesIdenticalContent) {
-  // The sharded harvest merges shard stores in fleet order regardless of
-  // which worker thread filled them; same inputs in the same merge order
-  // must yield the same per-AP sequences.
-  auto build = [](int salt) {
-    ReportStore shard;
-    shard.add(make(1, 10 + salt));
-    shard.add(make(2, 20 + salt));
-    return shard;
-  };
-  ReportStore a;
-  a.merge(build(0));
-  a.merge(build(100));
-  ReportStore b;
-  b.merge(build(0));
-  b.merge(build(100));
-  for (const auto ap : a.aps()) {
-    const auto& ra = a.reports_for(ap);
-    const auto& rb = b.reports_for(ap);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].timestamp_us, rb[i].timestamp_us);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace wlm::backend

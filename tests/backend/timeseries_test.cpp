@@ -26,8 +26,13 @@ TEST(TimeSeries, SeriesAreIndependent) {
   store.append(key("util24", 2), at_hours(0), 2.0);
   store.append(key("util5", 1), at_hours(0), 3.0);
   EXPECT_EQ(store.series_count(), 3u);
-  EXPECT_EQ(store.point_count(key("util24", 1)), 1u);
-  EXPECT_DOUBLE_EQ(store.latest(key("util5", 1))->value, 3.0);
+  EXPECT_EQ(store.total_points(), 3u);
+  const auto util24 = store.query(key("util24", 1), at_hours(0), at_hours(1));
+  ASSERT_EQ(util24.size(), 1u);
+  EXPECT_DOUBLE_EQ(util24[0].value, 1.0);
+  const auto util5 = store.query(key("util5", 1), at_hours(0), at_hours(1));
+  ASSERT_EQ(util5.size(), 1u);
+  EXPECT_DOUBLE_EQ(util5[0].value, 3.0);
 }
 
 TEST(TimeSeries, OutOfOrderAppendsSorted) {
@@ -84,134 +89,6 @@ TEST(TimeSeries, EmptyBucketsOmitted) {
   const auto buckets =
       store.downsample(key("m"), at_hours(0), at_hours(6), Duration::hours(1), Agg::kMean);
   EXPECT_EQ(buckets.size(), 2u);
-}
-
-TEST(TimeSeries, CompactRollsUpOldPoints) {
-  Retention retention;
-  retention.raw_horizon = Duration::days(1);
-  retention.rollup_width = Duration::hours(1);
-  TimeSeriesStore store(retention);
-  // Four samples in one old hour, plus a fresh one.
-  for (int m = 0; m < 4; ++m) {
-    store.append(key("m"), at_hours(1) + Duration::minutes(m * 10), 1.0 + m);
-  }
-  store.append(key("m"), at_hours(47), 9.0);
-  store.compact(at_hours(48));
-  // The old hour collapsed into one rollup point; the fresh one survives raw.
-  EXPECT_EQ(store.point_count(key("m")), 2u);
-  const auto points = store.query(key("m"), SimTime::epoch(), at_hours(48));
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[0].value, 2.5);  // mean of 1..4
-  EXPECT_DOUBLE_EQ(points[1].value, 9.0);
-}
-
-TEST(TimeSeries, CompactIsIdempotent) {
-  TimeSeriesStore store;
-  for (int h = 0; h < 24; ++h) store.append(key("m"), at_hours(h), h);
-  store.compact(at_hours(24 * 30));
-  const auto count = store.point_count(key("m"));
-  store.compact(at_hours(24 * 30));
-  EXPECT_EQ(store.point_count(key("m")), count);
-}
-
-TEST(TimeSeries, RollupsVisibleInQueries) {
-  Retention retention;
-  retention.raw_horizon = Duration::hours(1);
-  TimeSeriesStore store(retention);
-  store.append(key("m"), at_hours(0), 4.0);
-  store.compact(at_hours(10));
-  const auto points = store.query(key("m"), SimTime::epoch(), at_hours(10));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_DOUBLE_EQ(points[0].value, 4.0);
-}
-
-TEST(TimeSeries, KeysForMetric) {
-  TimeSeriesStore store;
-  store.append(key("util24", 1), at_hours(0), 0.1);
-  store.append(key("util24", 2), at_hours(0), 0.2);
-  store.append(key("bytes", 1), at_hours(0), 10.0);
-  const auto keys = store.keys_for_metric("util24");
-  EXPECT_EQ(keys.size(), 2u);
-}
-
-TEST(TimeSeries, LatestOnEmpty) {
-  TimeSeriesStore store;
-  EXPECT_FALSE(store.latest(key("missing")).has_value());
-}
-
-TEST(TimeSeriesMerge, MovesNewSeriesAndEmptiesSource) {
-  TimeSeriesStore dst;
-  TimeSeriesStore src;
-  dst.append(key("a"), at_hours(0), 1.0);
-  src.append(key("b"), at_hours(0), 2.0);
-  dst.merge(std::move(src));
-  EXPECT_EQ(dst.series_count(), 2u);
-  EXPECT_EQ(src.series_count(), 0u);  // NOLINT(bugprone-use-after-move): spec'd
-  EXPECT_DOUBLE_EQ(dst.latest(key("b"))->value, 2.0);
-}
-
-TEST(TimeSeriesMerge, InterleavesExistingRawPoints) {
-  // Two shards observed the same link at alternating hours; the merged
-  // series must read back in time order.
-  TimeSeriesStore dst;
-  TimeSeriesStore src;
-  for (int h : {0, 2, 4}) dst.append(key("m"), at_hours(h), h);
-  for (int h : {1, 3}) src.append(key("m"), at_hours(h), h);
-  dst.merge(std::move(src));
-  const auto points = dst.query(key("m"), at_hours(0), at_hours(5));
-  ASSERT_EQ(points.size(), 5u);
-  for (int h = 0; h < 5; ++h) EXPECT_DOUBLE_EQ(points[h].value, h);
-}
-
-TEST(TimeSeriesMerge, EqualTimestampsKeepDestinationFirst) {
-  TimeSeriesStore dst;
-  TimeSeriesStore src;
-  dst.append(key("m"), at_hours(1), 1.0);
-  src.append(key("m"), at_hours(1), 2.0);
-  dst.merge(std::move(src));
-  const auto points = dst.query(key("m"), at_hours(0), at_hours(2));
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(points[1].value, 2.0);
-}
-
-TEST(TimeSeriesMerge, CarriesRollupsAcross) {
-  Retention retention;
-  retention.raw_horizon = Duration::hours(1);
-  TimeSeriesStore dst;
-  TimeSeriesStore src(retention);
-  src.append(key("m"), at_hours(0), 4.0);
-  src.compact(at_hours(10));  // the source point now lives only as a rollup
-  dst.append(key("m"), at_hours(9), 9.0);
-  dst.merge(std::move(src));
-  const auto points = dst.query(key("m"), SimTime::epoch(), at_hours(10));
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[0].value, 4.0);
-  EXPECT_DOUBLE_EQ(points[1].value, 9.0);
-}
-
-TEST(TimeSeriesMerge, EquivalentToSingleStoreAppends) {
-  TimeSeriesStore merged;
-  TimeSeriesStore shard_a;
-  TimeSeriesStore shard_b;
-  TimeSeriesStore reference;
-  for (int h = 0; h < 20; ++h) {
-    TimeSeriesStore& shard = (h % 2 == 0) ? shard_a : shard_b;
-    shard.append(key("m", static_cast<std::uint64_t>(h % 3)), at_hours(h), h * 0.5);
-    reference.append(key("m", static_cast<std::uint64_t>(h % 3)), at_hours(h), h * 0.5);
-  }
-  merged.merge(std::move(shard_a));
-  merged.merge(std::move(shard_b));
-  EXPECT_EQ(merged.series_count(), reference.series_count());
-  for (std::uint64_t entity = 0; entity < 3; ++entity) {
-    const auto got = merged.query(key("m", entity), SimTime::epoch(), at_hours(20));
-    const auto want = reference.query(key("m", entity), SimTime::epoch(), at_hours(20));
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].time.as_micros(), want[i].time.as_micros());
-      EXPECT_DOUBLE_EQ(got[i].value, want[i].value);
-    }
-  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // tests/ckpt/resume_e2e_test.cpp reduces to these pieces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 
 #include "ckpt/campaign.hpp"
 #include "ckpt/container.hpp"
@@ -34,10 +36,21 @@ TEST(CkptContainer, WriterReaderRoundTrip) {
   s2.f64(2.5);
   w.add_section(ckpt::SectionTag::kShard, s2.take());
 
+  std::vector<std::uint64_t> offsets;
+  const auto bytes = w.finish(&offsets);
   ckpt::Reader r;
-  const auto err = r.load(w.finish());
+  const auto err = r.load(bytes);
   ASSERT_FALSE(err) << err.detail;
   ASSERT_EQ(r.sections().size(), 3u);
+
+  // finish() reports where each payload landed in the container.
+  ASSERT_EQ(offsets.size(), 3u);
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    const auto payload = r.sections()[i].payload;
+    ASSERT_LE(offsets[i] + payload.size(), bytes.size());
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           bytes.begin() + static_cast<std::ptrdiff_t>(offsets[i])));
+  }
 
   const auto found = r.find(ckpt::SectionTag::kMeta);
   ASSERT_TRUE(found.has_value());
@@ -49,6 +62,23 @@ TEST(CkptContainer, WriterReaderRoundTrip) {
 
   EXPECT_EQ(r.find_all(ckpt::SectionTag::kShard).size(), 2u);
   EXPECT_FALSE(r.find(ckpt::SectionTag::kConfig).has_value());
+}
+
+TEST(CkptContainer, AtomicFileWriteReadsBack) {
+  const std::string path = testing::TempDir() + "ckpt_container_io.bin";
+  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5};
+  ASSERT_FALSE(ckpt::write_file_atomic(path, bytes));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::vector<std::uint8_t> back;
+  ASSERT_FALSE(ckpt::read_file(path, back));
+  EXPECT_EQ(back, bytes);
+  std::filesystem::remove(path);
+
+  // An unwritable destination is kIo and leaves no temp file behind.
+  const std::string missing = testing::TempDir() + "no-such-dir/ckpt.bin";
+  EXPECT_EQ(ckpt::write_file_atomic(missing, bytes).status, ckpt::Status::kIo);
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+  EXPECT_EQ(ckpt::read_file(missing, back).status, ckpt::Status::kIo);
 }
 
 TEST(CkptContainer, CursorScalarRoundTrip) {

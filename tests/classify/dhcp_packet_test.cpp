@@ -64,7 +64,7 @@ TEST_P(DhcpPacketOs, PacketRoundTripIdentifiesOs) {
   const OsType os = GetParam();
   const auto parsed = parse_dhcp_ex(encode_dhcp(sample(os))).value;
   ASSERT_TRUE(parsed.has_value());
-  const auto detected = os_from_dhcp_packet(*parsed);
+  const auto detected = os_from_dhcp(parsed->parameter_request_list);
   ASSERT_TRUE(detected.has_value());
   EXPECT_EQ(*detected, os) << os_name(os);
 }
@@ -74,24 +74,6 @@ INSTANTIATE_TEST_SUITE_P(AllFingerprintedOses, DhcpPacketOs,
                                            OsType::kAppleIos, OsType::kAndroid,
                                            OsType::kChromeOs, OsType::kLinux,
                                            OsType::kWindowsMobile, OsType::kXbox));
-
-TEST(DhcpWire, VendorClassRescuesUnknownParamList) {
-  DhcpPacket p;
-  p.client_mac = MacAddress::from_u64(5);
-  p.parameter_request_list = {99, 98};  // unrecognized
-  p.vendor_class = "android-dhcp-9";
-  EXPECT_EQ(os_from_dhcp_packet(p), OsType::kAndroid);
-}
-
-TEST(DhcpWire, ParamListBreaksVendorClassTie) {
-  // Windows Mobile shares "MSFT 5.0" with desktop Windows; the option-55
-  // list is the discriminator.
-  DhcpPacket p;
-  p.client_mac = MacAddress::from_u64(6);
-  p.parameter_request_list = canonical_dhcp_params(OsType::kWindowsMobile);
-  p.vendor_class = "MSFT 5.0";
-  EXPECT_EQ(os_from_dhcp_packet(p), OsType::kWindowsMobile);
-}
 
 TEST(DhcpWire, AppleSendsNoVendorClass) {
   EXPECT_TRUE(canonical_vendor_class(OsType::kAppleIos).empty());

@@ -111,7 +111,6 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
       {"stats", "--seed"},
       {"pcap /tmp/x.pcap", "--flows"},
       {"pcap /tmp/x.pcap", "--seed"},
-      {"spectrum", "--seed"},
       {"export /tmp", "--networks"},
   };
   const char* const poisons[] = {"nan",   "iNf",  "infinity", "1e999", "abc",
@@ -124,7 +123,7 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
       // under test (duplicate options overwrite, which would heal it) or
       // the command takes no --networks (it would be rejected as unknown,
       // hiding the flag under test).
-      const bool sized = command.rfind("pcap", 0) != 0 && command.rfind("spectrum", 0) != 0;
+      const bool sized = command.rfind("pcap", 0) != 0;
       if (sized && std::string(row.flag) != "--networks") cmd += " --networks 2";
       EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
     }
@@ -168,10 +167,12 @@ TEST(WlmctlFlagValidation, UnknownOptionsAreUsageErrors) {
   EXPECT_EQ(err, "wlmctl: unknown option --jbos for simulate\n");
   // A real option given to a command that does not read it, and a final
   // option that lost its value.
-  EXPECT_EQ(wlmctl_exit("spectrum --networks 2"), 2);
+  EXPECT_EQ(wlmctl_exit("pcap /tmp/x.pcap --networks 2"), 2);
   EXPECT_EQ(wlmctl_exit("simulate --networks 2 --jobs"), 2);
+  // The retired spectrum command is unknown; report fig11 renders Figure 11.
+  EXPECT_EQ(wlmctl_exit("spectrum --seed 3"), 2);
   // Controls: known options still run, and the fault spec carries flaps.
-  EXPECT_EQ(wlmctl_exit("spectrum --seed 3"), 0);
+  EXPECT_EQ(wlmctl_exit("report fig11 --seed 3"), 0);
   EXPECT_EQ(wlmctl_exit("simulate --networks 2 --jobs 2 --faults flap=0.3"), 0);
 }
 

@@ -36,15 +36,5 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), original);
 }
 
-TEST(Fnv1a, KnownVectors) {
-  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
-}
-
-TEST(Fnv1a, SpanAndStringAgree) {
-  const std::string s = "network";
-  EXPECT_EQ(fnv1a64(s), fnv1a64(bytes_of(s)));
-}
-
 }  // namespace
 }  // namespace wlm

@@ -79,37 +79,6 @@ TEST(QuantileFreeFunction, MatchesCdf) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 3.0);
 }
 
-TEST(Histogram, ConservesTotalWeight) {
-  Histogram h(0.0, 1.0, 10);
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) h.add(rng.uniform(-0.5, 1.5));  // incl. out of range
-  EXPECT_DOUBLE_EQ(h.total_weight(), 1000.0);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < h.bin_count(); ++i) sum += h.bin_weight(i);
-  EXPECT_DOUBLE_EQ(sum, 1000.0);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(9.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(4), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 2.0 / 3.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_weight(3), 1.0);
-}
-
 TEST(PearsonCorrelation, PerfectAndNone) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   const std::vector<double> pos{2.0, 4.0, 6.0, 8.0};
@@ -129,22 +98,6 @@ TEST(PearsonCorrelation, IndependentIsNearZero) {
     ys.push_back(rng.normal());
   }
   EXPECT_NEAR(pearson_correlation(xs, ys), 0.0, 0.03);
-}
-
-TEST(Ewma, ConvergesToConstant) {
-  Ewma e(0.2);
-  EXPECT_FALSE(e.initialized());
-  for (int i = 0; i < 200; ++i) e.add(7.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_NEAR(e.value(), 7.0, 1e-9);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.5);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  e.add(0.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
 }
 
 }  // namespace

@@ -48,12 +48,6 @@ TEST(SimTime, HourOfDayWrapsAtMidnight) {
   EXPECT_EQ(t.day_index(), 3);
 }
 
-TEST(SimTime, ToStringFormat) {
-  const SimTime t = SimTime::epoch() + Duration::days(2) + Duration::hours(7) +
-                    Duration::minutes(15) + Duration::millis(250);
-  EXPECT_EQ(t.to_string(), "d2 07:15:00.250");
-}
-
 TEST(SimTime, Ordering) {
   const SimTime early = SimTime::epoch() + Duration::seconds(1);
   const SimTime late = SimTime::epoch() + Duration::seconds(2);

@@ -24,14 +24,6 @@ TEST(PowerDbm, GainAndLossAreDb) {
   EXPECT_DOUBLE_EQ(PowerDbm{-40.0} - PowerDbm{-70.0}, 30.0);
 }
 
-TEST(PowerDbm, CombineAddsLinearPower) {
-  // Two equal sources combine to +3 dB.
-  const PowerDbm sum = combine_power(PowerDbm{-60.0}, PowerDbm{-60.0});
-  EXPECT_NEAR(sum.dbm(), -56.99, 0.01);
-  // A vastly weaker source changes nothing measurable.
-  EXPECT_NEAR(combine_power(PowerDbm{-40.0}, PowerDbm{-120.0}).dbm(), -40.0, 1e-3);
-}
-
 TEST(PowerDbm, DefaultIsNoSignal) {
   EXPECT_LT(PowerDbm{}.dbm(), -150.0);
 }

@@ -14,15 +14,6 @@ TEST(Capabilities, StreamsFromBits) {
   EXPECT_EQ(c.spatial_streams(), 4);  // highest wins
 }
 
-TEST(Capabilities, ToStringSummarizes) {
-  Capabilities c;
-  c.bits = kCap11g | kCap11n | kCap5GHz | kCap40MHz | kCapTwoStreams;
-  const auto s = c.to_string();
-  EXPECT_NE(s.find("11n"), std::string::npos);
-  EXPECT_NE(s.find("dual-band"), std::string::npos);
-  EXPECT_NE(s.find("2ss"), std::string::npos);
-}
-
 TEST(CapabilityTargets, MatchTable4) {
   const auto t14 = capability_targets(Epoch::kJan2014);
   EXPECT_DOUBLE_EQ(t14.p_11ac, 0.025);

@@ -37,28 +37,6 @@ TEST(Site, ApsAreSpreadOut) {
   }
 }
 
-TEST(Site, RandomPositionsInBounds) {
-  SiteConfig cfg;
-  Rng rng(7);
-  Site site(SiteId{2}, cfg, rng);
-  for (int i = 0; i < 1000; ++i) {
-    const auto p = site.random_position(rng);
-    EXPECT_GE(p.x, 0.0);
-    EXPECT_LE(p.x, cfg.width_m);
-    EXPECT_GE(p.y, 0.0);
-    EXPECT_LE(p.y, cfg.height_m);
-  }
-}
-
-TEST(Site, WallsScaleWithDistance) {
-  SiteConfig cfg;
-  cfg.walls_per_10m = 2.0;
-  Rng rng(9);
-  Site site(SiteId{3}, cfg, rng);
-  EXPECT_EQ(site.walls_between({0.0, 0.0}, {0.0, 0.0}), 0);
-  EXPECT_EQ(site.walls_between({0.0, 0.0}, {30.0, 0.0}), 6);
-}
-
 TEST(Site, SingleApSite) {
   SiteConfig cfg;
   cfg.ap_count = 1;
@@ -76,11 +54,6 @@ TEST(SiteConfig, DensityShapesSize) {
     dense_aps += sample_site_config(Density::kDenseUrban, rng).ap_count;
   }
   EXPECT_LT(rural_aps, dense_aps);
-}
-
-TEST(Density, Names) {
-  EXPECT_STREQ(density_name(Density::kRural), "rural");
-  EXPECT_STREQ(density_name(Density::kDenseUrban), "dense-urban");
 }
 
 }  // namespace

@@ -5,19 +5,6 @@
 namespace wlm::mac {
 namespace {
 
-TEST(Frame, LinkProbeIs60BytesOnAir) {
-  const Frame probe24 = make_link_probe(MacAddress::from_u64(1), false);
-  EXPECT_EQ(probe24.total_bytes(), 60);
-  EXPECT_EQ(probe24.modulation, phy::Modulation::kDsss1);
-  EXPECT_EQ(probe24.destination, broadcast_mac());
-  EXPECT_EQ(probe24.airtime_us(), 672);  // paper-consistent 1 Mb/s timing
-
-  const Frame probe5 = make_link_probe(MacAddress::from_u64(2), true);
-  EXPECT_EQ(probe5.total_bytes(), 60);
-  EXPECT_EQ(probe5.modulation, phy::Modulation::kOfdm6);
-  EXPECT_LT(probe5.airtime_us(), probe24.airtime_us());
-}
-
 TEST(Frame, BeaconAirtimes) {
   // Paper SS4.1: 2.592 ms for 802.11b beacons, ~0.42 ms for OFDM.
   EXPECT_EQ(make_beacon(MacAddress{}, true).airtime_us(), 2592);
@@ -30,19 +17,6 @@ TEST(Frame, MacOverheadByType) {
   EXPECT_EQ(mac_overhead_bytes(FrameType::kAck), 14);
   EXPECT_EQ(mac_overhead_bytes(FrameType::kQosData), 30);
   EXPECT_EQ(mac_overhead_bytes(FrameType::kData), 28);
-}
-
-TEST(Frame, ToStringMentionsTypeAndRate) {
-  const Frame f = make_link_probe(MacAddress::from_u64(0xabcdef), false);
-  const std::string s = f.to_string();
-  EXPECT_NE(s.find("link-probe"), std::string::npos);
-  EXPECT_NE(s.find("DSSS 1"), std::string::npos);
-  EXPECT_NE(s.find("ff:ff:ff:ff:ff:ff"), std::string::npos);
-}
-
-TEST(Frame, TypeNames) {
-  EXPECT_STREQ(frame_type_name(FrameType::kBeacon), "beacon");
-  EXPECT_STREQ(frame_type_name(FrameType::kAck), "ack");
 }
 
 TEST(Frame, BeaconIntervalConstant) {

@@ -91,10 +91,5 @@ TEST(AdjacentRejection, MonotonicInSeparation) {
   EXPECT_DOUBLE_EQ(adjacent_channel_rejection_db(ch1, *plan.find(Band::k2_4GHz, 5)), 200.0);
 }
 
-TEST(ChannelToString, Readable) {
-  const auto& plan = ChannelPlan::us();
-  EXPECT_EQ(plan.find(Band::k2_4GHz, 6)->to_string(), "ch6 (2.4 GHz, 2437 MHz)");
-}
-
 }  // namespace
 }  // namespace wlm::phy

@@ -88,21 +88,5 @@ TEST(PlcpDecode, SaturatesHighAndFailsLow) {
   }
 }
 
-TEST(RateSelection, PicksHighestFeasible) {
-  EXPECT_EQ(select_rate(40.0, false), Modulation::kOfdm54);
-  EXPECT_EQ(select_rate(40.0, true), Modulation::kOfdm54);
-  EXPECT_EQ(select_rate(-10.0, false), Modulation::kDsss1);
-  EXPECT_EQ(select_rate(-10.0, true), Modulation::kOfdm6);
-}
-
-TEST(RateSelection, MonotonicInSinr) {
-  DataRate last{0};
-  for (double sinr = -5.0; sinr <= 40.0; sinr += 0.5) {
-    const auto rate = rate_info(select_rate(sinr, false)).rate;
-    EXPECT_GE(rate.kbps(), last.kbps());
-    last = rate;
-  }
-}
-
 }  // namespace
 }  // namespace wlm::phy

@@ -122,26 +122,6 @@ TEST(PerTable, OffGridQueriesFallBackToScalar) {
   EXPECT_FALSE(table.bounds(PerTable::kGridMinDb - 0.5).has_value());
   EXPECT_FALSE(table.bounds(PerTable::kGridMaxDb + 0.5).has_value());
   EXPECT_FALSE(table.bounds(std::nan("")).has_value());
-  // interpolated() off the grid is the scalar value itself.
-  EXPECT_EQ(table.interpolated(-12.0), packet_error_rate(Modulation::kDsss1, -12.0, 60));
-  EXPECT_EQ(table.interpolated(47.0), packet_error_rate(Modulation::kDsss1, 47.0, 60));
-}
-
-TEST(PerTable, InterpolatedWithinPinnedAbsBound) {
-  // The analytics interpolation (never on byte-identity paths) must stay
-  // within a pinned absolute error of the scalar curve over the whole grid;
-  // the 1/8 dB step keeps even the steep waterfall regions under this.
-  Rng rng(0xabcd);
-  const PerTableSet set(1500);
-  double worst = 0.0;
-  for (int trial = 0; trial < 20'000; ++trial) {
-    const auto& info = all_rates()[static_cast<std::size_t>(trial) % all_rates().size()];
-    const double sinr = rng.uniform(PerTable::kGridMinDb, PerTable::kGridMaxDb);
-    const double err = std::abs(set.table(info.modulation).interpolated(sinr) -
-                                packet_error_rate(info.modulation, sinr, 1500));
-    worst = std::max(worst, err);
-  }
-  EXPECT_LE(worst, 5e-3);
 }
 
 TEST(PerTable, ProbeDeliveredMatchesScalarOracle) {

@@ -96,25 +96,6 @@ TEST_P(SeededProperty, AggregationConservesBytesUnderRoaming) {
   EXPECT_EQ(total_out, total_in);
 }
 
-TEST_P(SeededProperty, BeaconAirtimePartitionsExactly) {
-  // Airtime over a window equals the sum over any partition of the window.
-  Rng rng(GetParam() * 17 + 3);
-  for (int i = 0; i < 50; ++i) {
-    const auto interval = rng.uniform_int(1'000, 200'000);
-    const auto airtime = rng.uniform_int(0, interval);
-    const auto offset = rng.uniform_int(0, interval - 1);
-    mac::BeaconSchedule sched(interval, offset, airtime);
-    const auto start = rng.uniform_int(0, 1'000'000);
-    const auto len = rng.uniform_int(1, 500'000);
-    const auto split = rng.uniform_int(1, len);
-    const auto whole = sched.airtime_in_window(start, len);
-    const auto left = sched.airtime_in_window(start, split);
-    const auto right = sched.airtime_in_window(start + split, len - split);
-    EXPECT_EQ(whole, left + right);
-    EXPECT_LE(whole, len);
-  }
-}
-
 TEST_P(SeededProperty, CdfQuantileIsRightInverse) {
   Rng rng(GetParam() * 101 + 7);
   std::vector<double> samples;
@@ -141,15 +122,6 @@ TEST_P(SeededProperty, ChannelOverlapSymmetricSameWidth) {
     EXPECT_GE(phy::channel_overlap(a, b), 0.0);
     EXPECT_LE(phy::channel_overlap(a, b), 1.0);
   }
-}
-
-TEST_P(SeededProperty, HistogramFractionsSumToOne) {
-  Rng rng(GetParam() + 1);
-  Histogram h(-10.0, 10.0, 16);
-  for (int i = 0; i < 1000; ++i) h.add(rng.normal(0.0, 6.0));
-  double sum = 0.0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) sum += h.bin_fraction(b);
-  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 TEST_P(SeededProperty, CheckpointStoreSaveLoadSaveIsIdentity) {

@@ -97,15 +97,5 @@ TEST(Planner, RationaleMentionsStrategy) {
   EXPECT_NE(rec->rationale.find("ch6"), std::string::npos);
 }
 
-TEST(Planner, AverageWindowsAggregates) {
-  std::vector<std::vector<ChannelScanResult>> windows;
-  windows.push_back({result_for(phy::Band::k2_4GHz, 1, 0.10, 2)});
-  windows.push_back({result_for(phy::Band::k2_4GHz, 1, 0.30, 4)});
-  const auto avg = average_windows(windows);
-  ASSERT_EQ(avg.size(), 1u);
-  EXPECT_NEAR(avg[0].counters.utilization(), 0.20, 1e-9);  // pooled counters
-  EXPECT_EQ(avg[0].neighbor_count, 3);
-}
-
 }  // namespace
 }  // namespace wlm::scan

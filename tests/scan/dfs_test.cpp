@@ -19,7 +19,6 @@ TEST(Dfs, NonDfsChannelsAlwaysAvailable) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(monitor.occupy(ch(36), SimTime::epoch(), Duration::hours(100), rng));
   }
-  EXPECT_EQ(monitor.activation_delay(ch(36)), Duration{});
 }
 
 TEST(Dfs, RadarBlocksForNonOccupancyPeriod) {
@@ -51,12 +50,6 @@ TEST(Dfs, DetectionRateTracksPolicy) {
     }
   }
   EXPECT_NEAR(static_cast<double>(detections) / trials, 0.1, 0.01);
-}
-
-TEST(Dfs, CacOnlyOnDfsChannels) {
-  DfsMonitor monitor;
-  EXPECT_GT(monitor.activation_delay(ch(64)), Duration{});
-  EXPECT_EQ(monitor.activation_delay(ch(149)), Duration{});
 }
 
 namespace agent {

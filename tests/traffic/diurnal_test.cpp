@@ -40,22 +40,5 @@ TEST(UpdateSpike, ActiveWindow) {
   EXPECT_FALSE(s.active(SimTime::epoch() + Duration::hours(54)));
 }
 
-TEST(UpdateSpike, SampledSpikesAreReasonable) {
-  Rng rng(3);
-  int total_spikes = 0;
-  for (int i = 0; i < 1000; ++i) {
-    for (const auto& s : sample_update_spikes(rng)) {
-      ++total_spikes;
-      EXPECT_TRUE(s.affects_apple || s.affects_windows);
-      EXPECT_GE(s.download_multiplier, 5.0);
-      EXPECT_LE(s.download_multiplier, 12.0);
-      EXPECT_GE(s.start.as_micros(), 0);
-      EXPECT_LT(s.start.as_micros(), Duration::days(7).as_micros());
-    }
-  }
-  // Roughly one release every other week.
-  EXPECT_NEAR(total_spikes / 1000.0, 0.5, 0.1);
-}
-
 }  // namespace
 }  // namespace wlm::traffic

@@ -59,7 +59,7 @@ std::vector<std::uint8_t> flatten(const backend::ReportSource& source) {
 }
 
 /// Three networks' batches appended in fleet order, plus the equivalent
-/// merged row store for comparison.
+/// row store for comparison.
 struct Fixture {
   tsdb::FleetStore fleet;
   backend::ReportStore rows;
@@ -70,9 +70,7 @@ Fixture make_fixture() {
   std::uint32_t first_ap = 100;
   for (std::uint32_t net = 1; net <= 3; ++net) {
     auto store = make_store(first_ap, /*aps=*/3, /*per_ap=*/4, /*seed=*/net);
-    backend::ReportStore copy;
-    store.for_each([&](const wire::ApReport& r) { copy.add(r); });
-    f.rows.merge(std::move(copy));
+    store.for_each([&](const wire::ApReport& r) { f.rows.add(r); });
     f.fleet.append_store(net, std::move(store));
     first_ap += 3;
   }

@@ -1,219 +1,18 @@
-// Merge-associativity properties behind the streaming harvest.
-//
-// The incremental harvest path merges MANY partial results (one per shard,
-// per phase boundary) where the classic path merged once at the end. These
-// tests pin the property that makes that safe: merging N partials in fleet
-// order is byte-identical to one final merge — for the time-series store,
-// the usage aggregator, and the full FleetRunner pipeline across worker
-// counts and spill modes.
+// Streaming-harvest equivalence: the incremental harvest merges many
+// partial results (one per shard, per phase boundary) where the classic path
+// merges once at the end. This test pins the property that makes that safe:
+// the full FleetRunner pipeline emits a byte-identical report stream across
+// harvest modes, worker counts and spill.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "backend/aggregate.hpp"
-#include "backend/store.hpp"
-#include "backend/timeseries.hpp"
-#include "core/rng.hpp"
 #include "sim/fleet_runner.hpp"
-#include "tsdb/series_codec.hpp"
 #include "wire/messages.hpp"
 
 namespace wlm {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TimeSeriesStore: incremental fleet-order merges vs one big merge.
-
-/// One shard's partial week: a few metrics over overlapping entities, with
-/// deliberate equal-timestamp collisions across shards (the case where merge
-/// order is the only tie-breaker).
-backend::TimeSeriesStore make_partial(std::uint64_t seed) {
-  Rng rng(seed);
-  backend::TimeSeriesStore store;
-  const char* metrics[] = {"util24", "util5", "clients"};
-  for (const char* metric : metrics) {
-    for (std::uint64_t entity = 1; entity <= 4; ++entity) {
-      for (int k = 0; k < 20; ++k) {
-        // Quantized to whole minutes so different shards collide on time.
-        const auto t = SimTime::epoch() + Duration::seconds(60 * static_cast<std::int64_t>(
-                                                                     rng.next_u64() % 90));
-        store.append({metric, entity}, t, static_cast<double>(seed * 1000 + k));
-      }
-    }
-  }
-  return store;
-}
-
-/// Canonical bytes of a store: every series in key order through the same
-/// columnar codec the checkpoint uses. Byte equality here is exactly the
-/// "checkpoint bytes identical" acceptance criterion.
-std::vector<std::uint8_t> canonical_bytes(const backend::TimeSeriesStore& store) {
-  std::vector<std::uint8_t> out;
-  store.for_each_series([&](const backend::SeriesKey& key, const std::vector<backend::Point>& raw,
-                            const std::vector<backend::Point>& rollups) {
-    out.insert(out.end(), key.metric.begin(), key.metric.end());
-    for (int shift = 0; shift < 64; shift += 8) {
-      out.push_back(static_cast<std::uint8_t>(key.entity >> shift));
-    }
-    tsdb::encode_points(out, raw);
-    tsdb::encode_points(out, rollups);
-  });
-  return out;
-}
-
-TEST(MergeProperty, TimeSeriesIncrementalMergeMatchesSingleMerge) {
-  constexpr int kShards = 7;
-
-  // Incremental: fold partials in one at a time, in fleet order — the
-  // streaming harvest's shape (a merge at every phase boundary).
-  backend::TimeSeriesStore incremental;
-  for (int s = 0; s < kShards; ++s) {
-    incremental.merge(make_partial(static_cast<std::uint64_t>(s + 1)));
-  }
-
-  // Single: build one interim store from the same partials in the same
-  // order, then merge once — the classic hold-until-final harvest.
-  backend::TimeSeriesStore staged;
-  for (int s = 0; s < kShards; ++s) {
-    staged.merge(make_partial(static_cast<std::uint64_t>(s + 1)));
-  }
-  backend::TimeSeriesStore single;
-  single.merge(std::move(staged));
-
-  EXPECT_EQ(canonical_bytes(incremental), canonical_bytes(single));
-}
-
-TEST(MergeProperty, TimeSeriesPairwiseGroupingsAgree) {
-  // ((1+2)+3) vs (1+(2+3)): associativity under the fixed fleet order.
-  backend::TimeSeriesStore left;
-  left.merge(make_partial(1));
-  left.merge(make_partial(2));
-  left.merge(make_partial(3));
-
-  backend::TimeSeriesStore tail;
-  tail.merge(make_partial(2));
-  tail.merge(make_partial(3));
-  backend::TimeSeriesStore right;
-  right.merge(make_partial(1));
-  right.merge(std::move(tail));
-
-  EXPECT_EQ(canonical_bytes(left), canonical_bytes(right));
-}
-
-// ---------------------------------------------------------------------------
-// UsageAggregator: per-shard partial aggregation vs one global pass.
-
-/// A shard's report batch with clients drawn from a SHARED mac pool, so the
-/// same client roams across shards and its OS majority / distinct-AP spread
-/// only resolves correctly if merge() truly unions observations.
-backend::ReportStore make_shard_reports(std::uint32_t first_ap, std::uint64_t seed) {
-  Rng rng(seed);
-  backend::ReportStore store;
-  for (std::uint32_t a = 0; a < 3; ++a) {
-    for (int k = 0; k < 4; ++k) {
-      wire::ApReport r;
-      r.ap_id = first_ap + a;
-      r.timestamp_us = 600'000'000LL * (k + 1);
-      r.firmware = 2;
-      for (int c = 0; c < 3; ++c) {
-        const auto mac = MacAddress::from_u64(0x3c0754000000ULL + rng.next_u64() % 10);
-        wire::ClientUsage u;
-        u.client = mac;
-        u.app_id = static_cast<std::uint32_t>(rng.next_u64() % 15);
-        u.tx_bytes = rng.next_u64() % 200'000;
-        u.rx_bytes = rng.next_u64() % 2'000'000;
-        r.usage.push_back(u);
-        wire::ClientSnapshot snap;
-        snap.client = mac;
-        snap.capability_bits = static_cast<std::uint32_t>(1u << (rng.next_u64() % 8));
-        snap.band = static_cast<std::uint8_t>(a % 2);
-        snap.rssi_dbm = -55.0;
-        snap.os_id = static_cast<std::uint8_t>(rng.next_u64() % 5);
-        r.clients.push_back(snap);
-      }
-      store.add(r);
-    }
-  }
-  return store;
-}
-
-/// Field-by-field equality of two aggregators, compared in sorted MAC order
-/// (the containers are unordered; the contents must not be).
-void expect_aggregators_equal(const backend::UsageAggregator& a,
-                              const backend::UsageAggregator& b) {
-  ASSERT_EQ(a.client_count(), b.client_count());
-  std::vector<MacAddress> macs;
-  for (const auto& [mac, agg] : a.clients()) macs.push_back(mac);
-  std::sort(macs.begin(), macs.end(),
-            [](MacAddress x, MacAddress y) { return x.to_u64() < y.to_u64(); });
-  for (const auto mac : macs) {
-    const auto it = b.clients().find(mac);
-    ASSERT_NE(it, b.clients().end()) << mac.to_string();
-    const auto& ca = a.clients().at(mac);
-    const auto& cb = it->second;
-    EXPECT_EQ(ca.os, cb.os) << mac.to_string();
-    EXPECT_EQ(ca.capability_bits, cb.capability_bits) << mac.to_string();
-    EXPECT_EQ(ca.ap_count, cb.ap_count) << mac.to_string();
-    EXPECT_EQ(ca.upstream(), cb.upstream()) << mac.to_string();
-    EXPECT_EQ(ca.downstream(), cb.downstream()) << mac.to_string();
-    ASSERT_EQ(ca.app_bytes.size(), cb.app_bytes.size()) << mac.to_string();
-    for (const auto& [app, bytes] : ca.app_bytes) {
-      EXPECT_EQ(cb.app_bytes.at(app), bytes) << mac.to_string();
-    }
-  }
-  const auto os_a = a.by_os();
-  const auto os_b = b.by_os();
-  ASSERT_EQ(os_a.size(), os_b.size());
-  for (std::size_t i = 0; i < os_a.size(); ++i) {
-    EXPECT_EQ(os_a[i].up, os_b[i].up);
-    EXPECT_EQ(os_a[i].down, os_b[i].down);
-    EXPECT_EQ(os_a[i].clients, os_b[i].clients);
-  }
-}
-
-TEST(MergeProperty, AggregatorShardMergesMatchGlobalConsume) {
-  constexpr int kShards = 5;
-  const SimTime from = SimTime::epoch();
-  const SimTime to = SimTime::epoch() + Duration::days(7);
-
-  // Per-shard partials merged in fleet order (streaming harvest shape).
-  backend::UsageAggregator merged;
-  for (int s = 0; s < kShards; ++s) {
-    backend::UsageAggregator partial;
-    const auto store =
-        make_shard_reports(100 + 3 * static_cast<std::uint32_t>(s), static_cast<std::uint64_t>(s + 1));
-    partial.consume(store, from, to);
-    merged.merge(partial);
-  }
-
-  // One aggregator over the union of all shards' reports.
-  backend::ReportStore all;
-  for (int s = 0; s < kShards; ++s) {
-    all.merge(make_shard_reports(100 + 3 * static_cast<std::uint32_t>(s),
-                                 static_cast<std::uint64_t>(s + 1)));
-  }
-  backend::UsageAggregator global;
-  global.consume(all, from, to);
-
-  expect_aggregators_equal(merged, global);
-}
-
-TEST(MergeProperty, AggregatorMergeIsIdempotentOnEmpty) {
-  backend::UsageAggregator agg;
-  const auto store = make_shard_reports(10, 42);
-  agg.consume(store, SimTime::epoch(), SimTime::epoch() + Duration::days(7));
-  const std::size_t before = agg.client_count();
-  agg.merge(backend::UsageAggregator{});
-  EXPECT_EQ(agg.client_count(), before);
-  backend::UsageAggregator empty;
-  empty.merge(agg);
-  expect_aggregators_equal(empty, agg);
-}
-
-// ---------------------------------------------------------------------------
-// FleetRunner end to end: classic vs streaming vs spilled, across workers.
 
 /// Full campaign on a small fleet; returns the row-encoded report stream —
 /// the byte-level artifact every mode must reproduce exactly.

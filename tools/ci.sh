@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Local CI: the tier-1 suite plus sanitizer passes.
 #
-#   tools/ci.sh            # tier-1 + ASan/UBSan + TSan
+#   tools/ci.sh            # tier-1 + dead-code scan + ASan/UBSan + TSan
 #   tools/ci.sh --fast     # tier-1 only
 #
-# Each configuration builds into its own tree (build/, build-asan/,
-# build-tsan/) so switching sanitizers never poisons the plain build.
+# Each configuration builds into its own tree (build/, build-deadcode/,
+# build-asan/, build-tsan/) so switching configurations never poisons the
+# plain build.
 # TSan specifically vets the sharded fleet harvest: the determinism tests
 # run the same campaign at several thread counts, which is exactly the
 # interleaving a data race would need to surface.
@@ -89,6 +90,15 @@ EOF
   fi
   rmdir "${cwd}"
   echo "bench smoke: bench_table3_os_usage exits 0 and writes no files"
+
+  # A malformed scale argument is a usage error (exit 2), not a 0-network run.
+  rc=0
+  "${table3}" abc > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "bench smoke: bench_table3_os_usage abc exited ${rc}, want 2" >&2
+    exit 1
+  fi
+  echo "bench smoke: a malformed argument exits 2"
 }
 bench_smoke
 
@@ -425,7 +435,94 @@ mesh_smoke() {
 }
 mesh_smoke
 
+# Dead-code lane: every strong wlm:: function the libraries define must be
+# reachable from a shipped binary (wlmctl, the examples, the bench binaries
+# and wlm_perfbench), or sit on the keep-list below with its reason.
+# The scan builds without tests at -O0 with one section per function and
+# links with --gc-sections, so a function survives in a binary only if that
+# binary can call it; the lane subtracts every symbol the binaries keep from
+# the libraries' global text symbols. perfbench/ is configured as its own
+# project in a subdirectory of the scan tree; nothing in perfbench/ changes.
+deadcode() {
+  echo "=== dead-code scan ==="
+  local dir="build-deadcode"
+  local flags=(-DCMAKE_BUILD_TYPE=Debug
+    "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+    "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  cmake -B "${dir}" -S . "${flags[@]}" -DBUILD_TESTING=OFF > /dev/null
+  cmake --build "${dir}" -j"$(nproc)" > /dev/null
+  cmake -B "${dir}/perfbench" -S perfbench "${flags[@]}" > /dev/null
+  cmake --build "${dir}/perfbench" -j"$(nproc)" > /dev/null
+
+  # Unreached on purpose: one qualified name per line, then its reason.
+  local keep
+  keep="$(cat << 'KEEP'
+wlm::failsafe::FailpointRegistry::disarm_all           tests reset every armed failpoint
+wlm::failsafe::FailpointRegistry::hits                 tests observe how often a site fired
+wlm::failsafe::ScopedShardContext::current_delay_hours tests observe an injected delay
+wlm::failsafe::ShardSupervisor::quarantined_count      tests observe the quarantine set
+wlm::backend::Poller::counters_for                     tests observe per-AP poll accounting
+wlm::fault::FaultPlan::total_outages                   tests check the planned outage count
+wlm::fault::FaultPlan::total_reboots                   tests check the planned reboot count
+wlm::probe::LinkTable::metric                          tests read one link's metric
+wlm::probe::LinkTable::all_metrics                     tests read the whole link table
+wlm::probe::SlidingDeliveryWindow::expected            tests observe the window's probe count
+wlm::probe::SlidingDeliveryWindow::received            tests observe the window's deliveries
+wlm::telemetry::MetricsRegistry::find_histogram        tests read a histogram back
+wlm::telemetry::FlightRecorder::clear                  tests reset the recorder
+wlm::sim::RadioEnvironment::audible_neighbors          tests observe the neighbor set
+wlm::sim::RadioEnvironment::audible_hotspots           tests observe the hotspot set
+wlm::sim::NetworkShard::find_ap                        tests look an AP up by id
+wlm::traffic::DeviceWeek::total_bytes                  tests check byte conservation
+wlm::backend::AppByteMap::at                           tests read one app's bytes
+wlm::deploy::Capabilities::spatial_streams             tests check the stream-count bits
+wlm::mac::BeaconFrame::is_11b_only                     tests check legacy-rate detection
+wlm::phy::ChannelPlan::non_overlapping_2_4             tests check the channel plan
+wlm::traffic::SessionModel::sample_week                empirical oracle for presence_probability
+wlm::classify::oui_registry                            its sorted-table test guards the binary search
+wlm::traffic::parse_pcap_lengths                       reads PcapWriter output back in tests
+wlm::tsdb::SegmentReader::time_bounds                  ROADMAP item 2's segment skipping is to use it
+KEEP
+)"
+  if ! awk 'NF < 2 { exit 1 }' <<< "${keep}"; then
+    echo "deadcode: every keep-list entry needs a reason" >&2
+    exit 1
+  fi
+
+  local libs bins
+  mapfile -t libs < <(find "${dir}/src" -name 'libwlm_*.a' | sort)
+  mapfile -t bins < <(find "${dir}/tools/wlmctl" "${dir}/examples" "${dir}/bench" \
+    "${dir}/perfbench/wlm_perfbench" -maxdepth 1 -type f -perm -u+x | sort)
+  nm --defined-only "${libs[@]}" | awk '$2 == "T" { print $3 }' | sort -u \
+    > "${dir}/lib-symbols.txt"
+  nm --defined-only "${bins[@]}" | awk 'NF == 3 { print $3 }' | sort -u \
+    > "${dir}/bin-symbols.txt"
+  comm -23 "${dir}/lib-symbols.txt" "${dir}/bin-symbols.txt" | c++filt \
+    | { grep '^wlm::' || true; } | sed -e 's/\[abi:[^]]*\]//g' -e 's/(.*//' | sort -u \
+    > "${dir}/unreached.txt"
+  awk '{ print $1 }' <<< "${keep}" | sort -u > "${dir}/keep.txt"
+
+  local dead stale
+  dead="$(comm -23 "${dir}/unreached.txt" "${dir}/keep.txt")"
+  stale="$(comm -13 "${dir}/unreached.txt" "${dir}/keep.txt")"
+  if [[ -n "${dead}" ]]; then
+    echo "deadcode: no binary reaches these functions; delete them or keep-list" \
+      "them with a reason:" >&2
+    echo "${dead}" >&2
+    exit 1
+  fi
+  if [[ -n "${stale}" ]]; then
+    echo "deadcode: keep-list entries that a binary now reaches, or that are gone:" >&2
+    echo "${stale}" >&2
+    exit 1
+  fi
+  echo "deadcode: ${#bins[@]} binaries reach every wlm:: function except the" \
+    "$(wc -l < "${dir}/keep.txt") keep-listed ones"
+}
+
 if [[ "${1:-}" != "--fast" ]]; then
+  deadcode
+
   # Sanitizer builds skip the `slow` label (fork-based e2e and golden
   # replays): the instrumented binaries run those campaigns 5-20x slower,
   # and the same code paths are already covered by the unlabeled

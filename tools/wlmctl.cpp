@@ -8,7 +8,6 @@
 //   wlmctl pcap     <path> [--flows N]           export a synthetic capture
 //   wlmctl stats    [--faults SPEC] [--metrics-out F] [--trace-out F]
 //                                                run a campaign, dump telemetry
-//   wlmctl spectrum [--seed S]                   render the Figure 11 scenes
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -776,14 +775,6 @@ int cmd_export(const Args& args) {
   return 0;
 }
 
-int cmd_spectrum(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2015));
-  if (args.bad) return 2;
-  const auto run = analysis::run_spectrum_study(seed);
-  std::fputs(analysis::render_fig11(run).c_str(), stdout);
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: wlmctl <command> [options]\n"
@@ -820,7 +811,6 @@ int usage() {
                "            [--metrics-out FILE] [--trace-out FILE]\n"
                "            run a week campaign, print the Prometheus-style metrics\n"
                "            snapshot, and verify it reconciles with the loss ledger\n"
-               "  spectrum  [--seed S]\n"
                "\n"
                "--scale paper presets --networks to the paper's audited full fleet\n"
                "(20,667 networks, Table 2); an explicit --networks overrides it.\n"
@@ -882,7 +872,6 @@ const std::vector<Command>& commands() {
       {"pcap", cmd_pcap, {"flows", "seed"}},
       {"export", cmd_export, fleet},
       {"stats", cmd_stats, join({fleet, scenario, faults, {"metrics-out", "trace-out"}})},
-      {"spectrum", cmd_spectrum, {"seed"}},
   };
   return table;
 }
