@@ -63,13 +63,15 @@ void Buf::str(std::string_view s) {
 
 std::uint64_t Cursor::u64() {
   if (!ok_) return 0;
-  const auto r = wire::get_varint(data_.subspan(pos_));
-  if (!r) {
+  const std::uint8_t* const at = data_.data() + pos_;
+  std::uint64_t v = 0;
+  const std::uint8_t* const next = wire::parse_varint(at, data_.data() + data_.size(), v);
+  if (next == nullptr) {
     ok_ = false;
     return 0;
   }
-  pos_ += r->consumed;
-  return r->value;
+  pos_ += static_cast<std::size_t>(next - at);
+  return v;
 }
 
 std::int64_t Cursor::i64() { return wire::zigzag_decode(u64()); }
@@ -159,28 +161,32 @@ Error Reader::load(std::vector<std::uint8_t> bytes) {
                                     " bytes"};
   }
 
+  const auto varint = [&](std::uint64_t& out) {
+    const std::uint8_t* next =
+        wire::parse_varint(data.data() + pos, data.data() + data.size(), out);
+    if (next != nullptr) pos = static_cast<std::size_t>(next - data.data());
+    return next != nullptr;
+  };
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const auto tag = wire::get_varint(data.subspan(pos));
-    if (!tag) return {Status::kTruncated, "section " + std::to_string(i) + ": tag"};
-    pos += tag->consumed;
-    const auto len = wire::get_varint(data.subspan(pos));
-    if (!len) return {Status::kTruncated, "section " + std::to_string(i) + ": length"};
-    pos += len->consumed;
+    std::uint64_t tag = 0;
+    std::uint64_t len = 0;
+    if (!varint(tag)) return {Status::kTruncated, "section " + std::to_string(i) + ": tag"};
+    if (!varint(len)) return {Status::kTruncated, "section " + std::to_string(i) + ": length"};
     if (data.size() - pos < 4) {
       return {Status::kTruncated, "section " + std::to_string(i) + ": crc"};
     }
     const std::uint32_t want_crc = get_u32_le(data.data() + pos);
     pos += 4;
-    if (len->value > data.size() - pos) {
+    if (len > data.size() - pos) {
       return {Status::kTruncated, "section " + std::to_string(i) + ": payload"};
     }
-    const auto payload = data.subspan(pos, static_cast<std::size_t>(len->value));
-    pos += static_cast<std::size_t>(len->value);
+    const auto payload = data.subspan(pos, static_cast<std::size_t>(len));
+    pos += payload.size();
     if (crc32(payload) != want_crc) {
       return {Status::kBadCrc, "section " + std::to_string(i) + ": crc mismatch"};
     }
-    sections_.push_back({static_cast<SectionTag>(tag->value), payload});
+    sections_.push_back({static_cast<SectionTag>(tag), payload});
   }
   if (pos != data.size()) {
     return {Status::kMalformed,

@@ -355,10 +355,10 @@ struct Walk {
 
   [[nodiscard]] std::size_t remaining() const { return bytes.size() - pos; }
   [[nodiscard]] bool varint(std::uint64_t& out) {
-    const auto r = wire::get_varint(bytes.subspan(pos));
-    if (!r) return false;
-    out = r->value;
-    pos += r->consumed;
+    const std::uint8_t* next =
+        wire::parse_varint(bytes.data() + pos, bytes.data() + bytes.size(), out);
+    if (next == nullptr) return false;
+    pos = static_cast<std::size_t>(next - bytes.data());
     return true;
   }
 };

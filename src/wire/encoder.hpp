@@ -5,10 +5,10 @@
 // so they must inline into the message serializers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "wire/varint.hpp"
@@ -26,55 +26,78 @@ enum class WireType : std::uint8_t {
   return (static_cast<std::uint64_t>(field) << 3) | static_cast<std::uint64_t>(type);
 }
 
-/// Append-only message builder. Nested messages are encoded by building the
-/// child first and adding it as a length-delimited field; hot serializers
-/// reuse one child encoder via clear() so the scratch buffer's capacity
-/// survives across messages instead of being reallocated per row.
+/// Longest encodings of a field tag (field numbers are 32-bit) and a varint.
+inline constexpr std::size_t kMaxTagBytes = 5;
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Append-only message builder. Each field reserves room for its largest
+/// encoding once and is then written through a raw pointer. Nested messages
+/// are written in place (add_message). Hot paths reuse one encoder via
+/// clear(), so the buffer's capacity survives across reports.
 class Encoder {
  public:
   void add_uint(std::uint32_t field, std::uint64_t v) {
-    put_varint(buf_, make_tag(field, WireType::kVarint));
-    put_varint(buf_, v);
+    std::uint8_t* p = room(kMaxTagBytes + kMaxVarintBytes);
+    p = store_varint(p, make_tag(field, WireType::kVarint));
+    commit(store_varint(p, v));
   }
   /// ZigZag-encoded signed integer.
-  void add_sint(std::uint32_t field, std::int64_t v) {
-    put_varint(buf_, make_tag(field, WireType::kVarint));
-    put_varint(buf_, zigzag_encode(v));
-  }
+  void add_sint(std::uint32_t field, std::int64_t v) { add_uint(field, zigzag_encode(v)); }
   void add_bool(std::uint32_t field, bool v) { add_uint(field, v ? 1 : 0); }
+  /// Little-endian fixed64.
   void add_double(std::uint32_t field, double v) {
-    put_varint(buf_, make_tag(field, WireType::kFixed64));
+    std::uint8_t* p = room(kMaxTagBytes + 8);
+    p = store_varint(p, make_tag(field, WireType::kFixed64));
     std::uint64_t bits = 0;
     static_assert(sizeof bits == sizeof v);
     std::memcpy(&bits, &v, sizeof bits);
-    // Little-endian fixed64: one resize + memcpy instead of 8 push_backs.
-    std::uint8_t le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(bits >> (8 * i));
-    buf_.insert(buf_.end(), le, le + 8);
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(bits >> (8 * i));
+    commit(p);
   }
-  void add_string(std::uint32_t field, std::string_view v) {
-    add_bytes(field, std::span<const std::uint8_t>(
-                         reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
-  }
-  void add_bytes(std::uint32_t field, std::span<const std::uint8_t> v) {
-    put_varint(buf_, make_tag(field, WireType::kLengthDelimited));
-    put_varint(buf_, v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
-  }
-  void add_message(std::uint32_t field, const Encoder& child) { add_bytes(field, child.bytes()); }
 
-  /// Drops the content but keeps the capacity — the reuse hook for hot
-  /// serializers that build millions of small sub-messages.
-  void clear() { buf_.clear(); }
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  /// Writes a nested message as a length-delimited field: `body` adds the
+  /// child's fields to this encoder, then the length in front of them is
+  /// back-patched. One length byte is reserved up front; a child of 128
+  /// bytes or more is shifted right to widen it.
+  template <class Body>
+  void add_message(std::uint32_t field, Body&& body) {
+    std::uint8_t* p = room(kMaxTagBytes + 1);
+    p = store_varint(p, make_tag(field, WireType::kLengthDelimited));
+    commit(p + 1);
+    const std::size_t start = len_;
+    body();
+    const std::size_t n = len_ - start;
+    if (n < 0x80) {
+      buf_[start - 1] = static_cast<std::uint8_t>(n);
+      return;
+    }
+    const std::size_t extra = varint_size(n) - 1;
+    room(extra);
+    std::memmove(buf_.data() + start + extra, buf_.data() + start, n);
+    store_varint(buf_.data() + start - 1, n);
+    len_ += extra;
+  }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] bool empty() const { return buf_.empty(); }
+  /// Drops the content but keeps the capacity.
+  void clear() { len_ = 0; }
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {buf_.data(), len_}; }
+  [[nodiscard]] std::vector<std::uint8_t> take() && {
+    buf_.resize(len_);
+    return std::move(buf_);
+  }
+  [[nodiscard]] std::size_t size() const { return len_; }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  /// Room for n more bytes past the written end.
+  std::uint8_t* room(std::size_t n) {
+    if (buf_.size() - len_ < n) buf_.resize(std::max(2 * buf_.size(), len_ + n));
+    return buf_.data() + len_;
+  }
+  void commit(std::uint8_t* end) { len_ = static_cast<std::size_t>(end - buf_.data()); }
+
+  std::vector<std::uint8_t> buf_;  // sized past len_; only [0, len_) is written
+  std::size_t len_ = 0;
 };
 
 }  // namespace wlm::wire

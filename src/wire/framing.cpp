@@ -15,6 +15,7 @@ void append_frame(std::vector<std::uint8_t>& stream, std::span<const std::uint8_
 }
 
 std::optional<std::span<const std::uint8_t>> FrameWalker::next() {
+  const std::uint8_t* const end = stream_.data() + stream_.size();
   while (pos_ + 2 <= stream_.size()) {
     if (stream_[pos_] != kFrameMagic0 || stream_[pos_ + 1] != kFrameMagic1) {
       ++pos_;
@@ -22,21 +23,22 @@ std::optional<std::span<const std::uint8_t>> FrameWalker::next() {
       continue;
     }
     const std::size_t frame_start = pos_;
-    pos_ += 2;
-    const auto len = get_varint(stream_.subspan(pos_));
-    if (!len) {
+    std::uint64_t len = 0;
+    const std::uint8_t* p = parse_varint(stream_.data() + pos_ + 2, end, len);
+    if (p == nullptr) {
       pos_ = stream_.size();  // truncated tail
       return std::nullopt;
     }
-    pos_ += len->consumed;
-    if (pos_ + len->value + 4 > stream_.size()) {
+    pos_ = static_cast<std::size_t>(p - stream_.data());
+    const std::size_t room = stream_.size() - pos_;  // payload + CRC
+    if (room < 4 || len > room - 4) {
       // Truncated frame; rewind past the magic and resync.
       pos_ = frame_start + 1;
       ++resync_bytes_;
       continue;
     }
-    const auto payload = stream_.subspan(pos_, len->value);
-    pos_ += len->value;
+    const auto payload = stream_.subspan(pos_, static_cast<std::size_t>(len));
+    pos_ += payload.size();
     std::uint32_t crc = 0;
     for (int i = 3; i >= 0; --i) crc = (crc << 8) | stream_[pos_ + static_cast<std::size_t>(i)];
     pos_ += 4;
@@ -49,17 +51,6 @@ std::optional<std::span<const std::uint8_t>> FrameWalker::next() {
   return std::nullopt;
 }
 
-StreamDecodeResult decode_stream(std::span<const std::uint8_t> stream) {
-  StreamDecodeResult result;
-  FrameWalker walker(stream);
-  while (const auto payload = walker.next()) {
-    result.payloads.emplace_back(payload->begin(), payload->end());
-  }
-  result.corrupt_frames = walker.corrupt_frames();
-  result.resync_bytes = walker.resync_bytes();
-  return result;
-}
-
 std::size_t frame_overhead(std::size_t payload_size) {
   return 2 + varint_size(payload_size) + 4;
 }
@@ -69,11 +60,13 @@ std::optional<std::pair<std::size_t, std::size_t>> frame_payload_range(
   if (frame.size() < 2 || frame[0] != kFrameMagic0 || frame[1] != kFrameMagic1) {
     return std::nullopt;
   }
-  const auto len = get_varint(frame.subspan(2));
-  if (!len) return std::nullopt;
-  const std::size_t begin = 2 + len->consumed;
-  if (begin + len->value + 4 > frame.size()) return std::nullopt;
-  return std::make_pair(begin, begin + static_cast<std::size_t>(len->value));
+  std::uint64_t len = 0;
+  const std::uint8_t* p = parse_varint(frame.data() + 2, frame.data() + frame.size(), len);
+  if (p == nullptr) return std::nullopt;
+  const auto begin = static_cast<std::size_t>(p - frame.data());
+  const std::size_t room = frame.size() - begin;  // payload + CRC
+  if (room < 4 || len > room - 4) return std::nullopt;
+  return std::make_pair(begin, begin + static_cast<std::size_t>(len));
 }
 
 }  // namespace wlm::wire

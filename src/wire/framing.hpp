@@ -1,9 +1,9 @@
 // Tunnel stream framing: [magic u16][length varint][payload][crc32 fixed32].
 //
 // The CRC covers the payload only; the magic delimits frames so a reader can
-// resynchronize after a corrupt length. decode_stream() is tolerant: frames
-// with bad CRCs are counted and skipped, matching a collector that must
-// survive flaky WAN links.
+// resynchronize after a corrupt length. FrameWalker is tolerant: frames with
+// bad CRCs are counted and skipped, matching a collector that must survive
+// flaky WAN links.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,10 @@ inline constexpr std::uint8_t kFrameMagic1 = 0x5C;
 void append_frame(std::vector<std::uint8_t>& stream, std::span<const std::uint8_t> payload);
 
 /// Zero-copy frame iterator: walks the stream and yields a span per frame
-/// whose CRC verifies, with the same resynchronization and corruption
-/// accounting as decode_stream (which is built on it). The spans alias the
-/// input buffer — the backend parses reports straight out of the polled
-/// frame instead of copying every payload first.
+/// whose CRC verifies, counting corrupt frames and the bytes skipped while
+/// resynchronizing. The spans alias the input buffer — the backend parses
+/// reports straight out of the polled frame instead of copying every
+/// payload first.
 class FrameWalker {
  public:
   explicit FrameWalker(std::span<const std::uint8_t> stream) : stream_(stream) {}
@@ -41,15 +41,6 @@ class FrameWalker {
   std::size_t corrupt_frames_ = 0;
   std::size_t resync_bytes_ = 0;
 };
-
-struct StreamDecodeResult {
-  std::vector<std::vector<std::uint8_t>> payloads;
-  std::size_t corrupt_frames = 0;   // bad CRC
-  std::size_t resync_bytes = 0;     // bytes skipped hunting for magic
-};
-
-/// Decodes every recoverable frame in the stream.
-[[nodiscard]] StreamDecodeResult decode_stream(std::span<const std::uint8_t> stream);
 
 /// Framing overhead in bytes for a payload of the given size.
 [[nodiscard]] std::size_t frame_overhead(std::size_t payload_size);

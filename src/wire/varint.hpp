@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 namespace wlm::wire {
@@ -32,10 +30,20 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-/// Raw-pointer varint parse for specialized message decoders: reads one
-/// varint starting at p, writes it to out, and returns the advanced pointer
-/// — or nullptr on truncation / over-long encoding. Accepts exactly the
-/// same encodings as get_varint.
+/// Stores the varint encoding of v at p, which must have room for 10 bytes,
+/// and returns the end of what it wrote.
+inline std::uint8_t* store_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// The one varint reader: parses the varint starting at p into out and
+/// returns the advanced pointer, or nullptr on truncation or an over-long
+/// (>10 byte) encoding.
 [[nodiscard]] inline const std::uint8_t* parse_varint(const std::uint8_t* p,
                                                       const std::uint8_t* end,
                                                       std::uint64_t& out) {
@@ -56,32 +64,6 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     shift += 7;
   }
   return nullptr;  // truncated or over-long
-}
-
-/// Decoded value plus the number of bytes consumed.
-struct VarintResult {
-  std::uint64_t value = 0;
-  std::size_t consumed = 0;
-};
-
-/// Reads a varint from the front of `in`. Returns nullopt on truncation or
-/// an over-long (>10 byte) encoding.
-[[nodiscard]] inline std::optional<VarintResult> get_varint(std::span<const std::uint8_t> in) {
-  // Fast path: single-byte varints are the overwhelming majority of tags
-  // and small field values on this wire.
-  if (!in.empty() && (in[0] & 0x80) == 0) {
-    return VarintResult{in[0], 1};
-  }
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (std::size_t i = 0; i < in.size() && i < 10; ++i) {
-    value |= static_cast<std::uint64_t>(in[i] & 0x7F) << shift;
-    if ((in[i] & 0x80) == 0) {
-      return VarintResult{value, i + 1};
-    }
-    shift += 7;
-  }
-  return std::nullopt;  // truncated or over-long
 }
 
 /// ZigZag maps signed to unsigned so small negatives stay small on the wire.

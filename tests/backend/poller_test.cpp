@@ -240,9 +240,11 @@ TEST(Poller, IgnoreBackoffDrainsBackedOffTunnel) {
 
 TEST(FrameReport, RoundTripsThroughFraming) {
   const auto framed = frame_report(report_for(7, 424242));
-  const auto decoded = wire::decode_stream(framed);
-  ASSERT_EQ(decoded.payloads.size(), 1u);
-  const auto report = wire::decode_report(decoded.payloads[0]);
+  wire::FrameWalker walker(framed);
+  const auto payload = walker.next();
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_FALSE(walker.next().has_value());
+  const auto report = wire::decode_report(*payload);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->ap_id, 7u);
   EXPECT_EQ(report->timestamp_us, 424242);

@@ -9,14 +9,22 @@ std::vector<std::uint8_t> payload_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+/// Copies out every payload the walker yields.
+std::vector<std::vector<std::uint8_t>> payloads(FrameWalker& walker) {
+  std::vector<std::vector<std::uint8_t>> out;
+  while (const auto payload = walker.next()) out.emplace_back(payload->begin(), payload->end());
+  return out;
+}
+
 TEST(Framing, SingleFrameRoundTrip) {
   std::vector<std::uint8_t> stream;
   append_frame(stream, payload_of("hello"));
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 1u);
-  EXPECT_EQ(result.payloads[0], payload_of("hello"));
-  EXPECT_EQ(result.corrupt_frames, 0u);
-  EXPECT_EQ(result.resync_bytes, 0u);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload_of("hello"));
+  EXPECT_EQ(walker.corrupt_frames(), 0u);
+  EXPECT_EQ(walker.resync_bytes(), 0u);
 }
 
 TEST(Framing, MultipleFramesInOrder) {
@@ -24,17 +32,19 @@ TEST(Framing, MultipleFramesInOrder) {
   append_frame(stream, payload_of("one"));
   append_frame(stream, payload_of("two"));
   append_frame(stream, payload_of("three"));
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 3u);
-  EXPECT_EQ(result.payloads[1], payload_of("two"));
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[1], payload_of("two"));
 }
 
 TEST(Framing, EmptyPayloadAllowed) {
   std::vector<std::uint8_t> stream;
   append_frame(stream, {});
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 1u);
-  EXPECT_TRUE(result.payloads[0].empty());
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_TRUE(got[0].empty());
 }
 
 TEST(Framing, CorruptCrcIsCountedAndSkipped) {
@@ -44,19 +54,21 @@ TEST(Framing, CorruptCrcIsCountedAndSkipped) {
   append_frame(stream, payload_of("bad!!!"));
   append_frame(stream, payload_of("good-2"));
   stream[second_start + 4] ^= 0xFF;  // flip a payload byte of frame 2
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 2u);
-  EXPECT_EQ(result.payloads[0], payload_of("good-1"));
-  EXPECT_EQ(result.payloads[1], payload_of("good-2"));
-  EXPECT_EQ(result.corrupt_frames, 1u);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], payload_of("good-1"));
+  EXPECT_EQ(got[1], payload_of("good-2"));
+  EXPECT_EQ(walker.corrupt_frames(), 1u);
 }
 
 TEST(Framing, ResyncsAfterGarbage) {
   std::vector<std::uint8_t> stream{0x01, 0x02, 0x03, 0x04};  // line noise
   append_frame(stream, payload_of("payload"));
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 1u);
-  EXPECT_EQ(result.resync_bytes, 4u);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(walker.resync_bytes(), 4u);
 }
 
 TEST(Framing, TruncatedTailIgnored) {
@@ -65,8 +77,9 @@ TEST(Framing, TruncatedTailIgnored) {
   std::vector<std::uint8_t> partial;
   append_frame(partial, payload_of("partial frame data"));
   stream.insert(stream.end(), partial.begin(), partial.begin() + 6);
-  const auto result = decode_stream(stream);
-  EXPECT_EQ(result.payloads.size(), 1u);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  EXPECT_EQ(got.size(), 1u);
 }
 
 TEST(Framing, OverheadFormula) {
@@ -86,9 +99,10 @@ TEST(Framing, LargePayloadRoundTrip) {
   }
   std::vector<std::uint8_t> stream;
   append_frame(stream, payload);
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 1u);
-  EXPECT_EQ(result.payloads[0], payload);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
 }
 
 TEST(Framing, PayloadRangeLocatesExactlyThePayload) {
@@ -103,10 +117,11 @@ TEST(Framing, PayloadRangeLocatesExactlyThePayload) {
   EXPECT_EQ(stream[range->second - 1], 'h');
   // Flipping a bit inside the range damages the CRC, not the framing.
   stream[range->first + 2] ^= 0x01;
-  const auto result = decode_stream(stream);
-  EXPECT_TRUE(result.payloads.empty());
-  EXPECT_EQ(result.corrupt_frames, 1u);
-  EXPECT_EQ(result.resync_bytes, 0u);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(walker.corrupt_frames(), 1u);
+  EXPECT_EQ(walker.resync_bytes(), 0u);
 }
 
 TEST(Framing, PayloadRangeRejectsNonFrames) {
@@ -134,9 +149,10 @@ TEST(Framing, MagicInsidePayloadDoesNotConfuse) {
   std::vector<std::uint8_t> stream;
   append_frame(stream, payload);
   append_frame(stream, payload_of("next"));
-  const auto result = decode_stream(stream);
-  ASSERT_EQ(result.payloads.size(), 2u);
-  EXPECT_EQ(result.payloads[0], payload);
+  FrameWalker walker(stream);
+  const auto got = payloads(walker);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], payload);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "mac/beacon_frame.hpp"
 #include "wire/framing.hpp"
 #include "wire/messages.hpp"
+#include "wire/varint.hpp"
 
 namespace wlm {
 namespace {
@@ -71,9 +72,47 @@ TEST(Fuzz, StreamDecoderSurvivesGarbage) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
     const auto junk = random_bytes(rng, rng.next_u64() % 600);
-    const auto result = wire::decode_stream(junk);
-    EXPECT_LE(result.payloads.size(), junk.size());
+    wire::FrameWalker walker(junk);
+    std::size_t frames = 0;
+    while (walker.next()) ++frames;
+    EXPECT_LE(frames, junk.size());
   }
+}
+
+// Lengths that wrap a `pos + len > size` bounds check, and one more byte
+// than the `room` left after the length varint.
+std::vector<std::uint64_t> hostile_lengths(std::uint64_t room) {
+  return {UINT64_MAX, UINT64_MAX - 8, 1ULL << 63, room + 1};
+}
+
+// `prefix`, then `len` as a varint, then 16 zero bytes.
+std::vector<std::uint8_t> with_length(std::vector<std::uint8_t> prefix, std::uint64_t len) {
+  wire::put_varint(prefix, len);
+  prefix.resize(prefix.size() + 16);
+  return prefix;
+}
+
+TEST(Fuzz, FrameLengthNearTwoToTheSixtyFourIsATruncatedFrame) {
+  for (const auto len : hostile_lengths(16 - 4)) {  // 4 of the 16 bytes are the CRC
+    const auto stream = with_length({wire::kFrameMagic0, wire::kFrameMagic1}, len);
+    wire::FrameWalker walker(stream);
+    EXPECT_FALSE(walker.next().has_value()) << len;
+    EXPECT_EQ(walker.corrupt_frames(), 0u);
+    EXPECT_EQ(walker.resync_bytes(), stream.size() - 1);  // every byte but the last
+    EXPECT_FALSE(wire::frame_payload_range(stream).has_value()) << len;
+  }
+}
+
+TEST(Fuzz, FieldLengthNearTwoToTheSixtyFourIsRejected) {
+  for (const auto len : hostile_lengths(16)) {
+    EXPECT_FALSE(wire::decode_report(with_length({0x08, 0x2A, 0x22}, len)).has_value()) << len;
+  }
+}
+
+TEST(Fuzz, FieldNumberPastThirtyTwoBitsIsRejected) {
+  // Field 2^32 + 1 must not alias field 1 (ap_id).
+  const std::vector<std::uint8_t> bytes{0x08, 0x01, 0x88, 0x80, 0x80, 0x80, 0x80, 0x01, 0x63};
+  EXPECT_FALSE(wire::decode_report(bytes).has_value());
 }
 
 TEST(Fuzz, DnsParserSurvives) {

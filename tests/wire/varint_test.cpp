@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+
 namespace wlm::wire {
 namespace {
+
+/// Parses the varint at the front of `in`: {value, bytes consumed}, with
+/// 0 consumed when parse_varint rejects it.
+std::pair<std::uint64_t, std::size_t> parse(std::span<const std::uint8_t> in) {
+  std::uint64_t value = 0;
+  const std::uint8_t* end = parse_varint(in.data(), in.data() + in.size(), value);
+  return {value, end == nullptr ? 0 : static_cast<std::size_t>(end - in.data())};
+}
 
 TEST(Varint, SingleByteValues) {
   std::vector<std::uint8_t> buf;
@@ -22,24 +33,21 @@ TEST(Varint, MaxValueIsTenBytes) {
   std::vector<std::uint8_t> buf;
   put_varint(buf, UINT64_MAX);
   EXPECT_EQ(buf.size(), 10u);
-  const auto r = get_varint(buf);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->value, UINT64_MAX);
-  EXPECT_EQ(r->consumed, 10u);
+  EXPECT_EQ(parse(buf), std::make_pair(UINT64_MAX, std::size_t{10}));
 }
 
 TEST(Varint, TruncatedFails) {
   std::vector<std::uint8_t> buf;
   put_varint(buf, 1'000'000);
   buf.pop_back();
-  EXPECT_FALSE(get_varint(buf).has_value());
-  EXPECT_FALSE(get_varint({}).has_value());
+  EXPECT_EQ(parse(buf).second, 0u);
+  EXPECT_EQ(parse({}).second, 0u);
 }
 
 TEST(Varint, OverlongFails) {
   // Eleven continuation bytes can never terminate legally.
   const std::vector<std::uint8_t> bad(11, 0x80);
-  EXPECT_FALSE(get_varint(bad).has_value());
+  EXPECT_EQ(parse(bad).second, 0u);
 }
 
 class VarintRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
@@ -47,10 +55,7 @@ class VarintRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(VarintRoundTrip, EncodeDecode) {
   std::vector<std::uint8_t> buf;
   put_varint(buf, GetParam());
-  const auto r = get_varint(buf);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->value, GetParam());
-  EXPECT_EQ(r->consumed, buf.size());
+  EXPECT_EQ(parse(buf), std::make_pair(GetParam(), buf.size()));
   EXPECT_EQ(varint_size(GetParam()), buf.size());
 }
 
@@ -81,19 +86,18 @@ TEST(Varint, SequentialDecodeConsumesCorrectly) {
   put_varint(buf, 5);
   put_varint(buf, 70'000);
   put_varint(buf, 0);
-  std::span<const std::uint8_t> view = buf;
-  const auto a = get_varint(view);
-  ASSERT_TRUE(a);
-  view = view.subspan(a->consumed);
-  const auto b = get_varint(view);
-  ASSERT_TRUE(b);
-  view = view.subspan(b->consumed);
-  const auto c = get_varint(view);
-  ASSERT_TRUE(c);
-  EXPECT_EQ(a->value, 5u);
-  EXPECT_EQ(b->value, 70'000u);
-  EXPECT_EQ(c->value, 0u);
-  EXPECT_EQ(view.size(), c->consumed);
+  const std::uint8_t* p = buf.data();
+  const std::uint8_t* const end = p + buf.size();
+  std::uint64_t a = 1, b = 1, c = 1;
+  p = parse_varint(p, end, a);
+  ASSERT_NE(p, nullptr);
+  p = parse_varint(p, end, b);
+  ASSERT_NE(p, nullptr);
+  p = parse_varint(p, end, c);
+  EXPECT_EQ(p, end);
+  EXPECT_EQ(a, 5u);
+  EXPECT_EQ(b, 70'000u);
+  EXPECT_EQ(c, 0u);
 }
 
 }  // namespace
