@@ -1,0 +1,125 @@
+// Sealed-segment digest: one CRC over the bytes of every segment the vault
+// holds, in vault order, pinned as a constant. The seal must produce these
+// exact bytes whatever the worker count, and the vault must hold them in
+// fleet order whatever the scheduling.
+//
+// The campaign turns on faults, mobility and mesh so every column kind is
+// sealed: usage rows, utilization, neighbor and client f64 RSSI, probe
+// links, mesh hops. Outages leave backlog past the week-end harvest, so the
+// final harvest seals a second batch for some networks; the ceiling run
+// seals one batch per phase and spills, so its segments are read back from
+// spill files.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/checksum.hpp"
+#include "sim/fleet_runner.hpp"
+
+namespace wlm {
+namespace {
+
+struct Digest {
+  std::uint32_t crc = 0;
+  std::size_t segments = 0;
+  std::size_t multi_batch_networks = 0;
+  std::uint64_t spilled = 0;
+  // Child rows per column group, so the digest provably covers each kind.
+  std::uint64_t usage = 0, neighbors = 0, links = 0, clients = 0, mesh_relayed = 0;
+};
+
+sim::WorldConfig digest_config(int threads, std::uint64_t ceiling_mb,
+                               const std::string& spill_dir) {
+  sim::WorldConfig config;
+  config.fleet.network_count = 30;
+  config.fleet.seed = 404;
+  config.seed = 405;
+  config.client_scale = 0.2;
+  config.threads = threads;
+  config.mem_ceiling_mb = ceiling_mb;
+  config.spill_dir = spill_dir;
+  config.faults.outage_rate_per_week = 1.0;
+  config.faults.outage_mean_hours = 30.0;
+  config.faults.reboot_rate_per_week = 0.5;
+  config.faults.corrupt_probability = 0.02;
+  config.mobility.enabled = true;
+  config.mesh.mesh_fraction = 0.4;
+  return config;
+}
+
+Digest run_digest(int threads, std::uint64_t ceiling_mb, const std::string& spill_dir) {
+  sim::FleetRunner runner(digest_config(threads, ceiling_mb, spill_dir));
+  const SimTime noon = SimTime::epoch() + Duration::hours(14);
+  runner.run_usage_week();
+  runner.harvest(sim::HarvestMode::kWeekEnd);
+  runner.snapshot_clients(noon);
+  runner.run_mr16_interference(noon);
+  runner.run_mr18_scan(noon, 14.0);
+  runner.run_link_windows(noon);
+  runner.harvest(sim::HarvestMode::kFinal);
+
+  const tsdb::FleetStore& vault = runner.fleet_tsdb();
+  Digest d;
+  d.segments = vault.segment_count();
+  d.spilled = vault.stats().segments_spilled;
+  for (std::size_t i = 0; i < vault.segment_count(); ++i) {
+    std::vector<std::uint8_t> bytes;
+    EXPECT_FALSE(vault.segment_bytes(i, bytes)) << "segment " << i;
+    // Everything but the 4-byte trailer: the trailer is a CRC of the bytes
+    // before it, and a CRC over data plus its own CRC is a constant, so a
+    // digest of whole segments would see only their lengths.
+    d.crc = crc32_update(d.crc, std::span(bytes).first(bytes.size() - 4));
+    if (vault.info(i).batch_seq == 1) ++d.multi_batch_networks;
+    EXPECT_FALSE(tsdb::SegmentReader::for_each(bytes, [&d](wire::ApReport&& r) {
+      d.usage += r.usage.size();
+      d.neighbors += r.neighbors.size();
+      d.links += r.links.size();
+      d.clients += r.clients.size();
+      if (r.mesh_hops > 0) ++d.mesh_relayed;
+    })) << "segment " << i;
+  }
+  return d;
+}
+
+// Pinned at the serial-seal implementation; any byte of any segment, or
+// the order the vault holds them in, moves these.
+constexpr std::uint32_t kClassicDigest = 0xb0111ec0;
+constexpr std::uint32_t kStreamingDigest = 0x54698462;
+
+void expect_every_column_kind(const Digest& d) {
+  EXPECT_GT(d.usage, 0u);
+  EXPECT_GT(d.neighbors, 0u);
+  EXPECT_GT(d.links, 0u);
+  EXPECT_GT(d.clients, 0u);
+  EXPECT_GT(d.mesh_relayed, 0u);
+}
+
+TEST(SealDigest, ClassicHarvestSegmentsArePinnedAcrossJobs) {
+  const Digest serial = run_digest(1, 0, ".");
+  expect_every_column_kind(serial);
+  EXPECT_GT(serial.segments, 30u);
+  EXPECT_GT(serial.multi_batch_networks, 0u) << "no network sealed a second batch";
+  EXPECT_EQ(serial.spilled, 0u);
+  EXPECT_EQ(serial.crc, kClassicDigest) << std::hex << serial.crc;
+  const Digest parallel = run_digest(4, 0, ".");
+  EXPECT_EQ(parallel.segments, serial.segments);
+  EXPECT_EQ(parallel.crc, kClassicDigest) << std::hex << parallel.crc;
+}
+
+TEST(SealDigest, CeilingHarvestSegmentsArePinnedAcrossJobs) {
+  const std::string spill_dir = testing::TempDir() + "seal_digest_spill";
+  const Digest serial = run_digest(1, 1, spill_dir);
+  expect_every_column_kind(serial);
+  EXPECT_GT(serial.segments, 60u);
+  EXPECT_GT(serial.spilled, 0u) << "the ceiling never pressed";
+  EXPECT_EQ(serial.crc, kStreamingDigest) << std::hex << serial.crc;
+  const Digest parallel = run_digest(4, 1, spill_dir + "4");
+  EXPECT_EQ(parallel.segments, serial.segments);
+  EXPECT_EQ(parallel.crc, kStreamingDigest) << std::hex << parallel.crc;
+}
+
+}  // namespace
+}  // namespace wlm

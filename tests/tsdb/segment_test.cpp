@@ -2,6 +2,9 @@
 // summary-based pruning, and sealed-byte determinism.
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "core/checksum.hpp"
 #include "core/rng.hpp"
 #include "tsdb/segment.hpp"
 #include "wire/messages.hpp"
@@ -175,6 +178,26 @@ TEST(Segment, EmptySegmentSealsAndValidates) {
 TEST(Segment, ValidateAcceptsWhatForEachAccepts) {
   const auto bytes = seal_batch(make_batch(6, 2, 2));
   EXPECT_FALSE(tsdb::SegmentReader::validate(bytes));
+}
+
+TEST(Segment, EncodingChoicesArePinned) {
+  // Small batches put the plain/dictionary choice on a knife edge. Two
+  // reports with a constant column tie (2 plain bytes against a 1-entry
+  // dictionary's 2), and a tie must stay plain; a third report tips it to
+  // the dictionary. The random batch covers the wide columns.
+  wire::ApReport a;
+  a.ap_id = 100;
+  a.timestamp_us = 5;
+  a.firmware = 5;
+  wire::ApReport b = a;
+  b.timestamp_us = 9;
+  std::uint32_t crc = 0;
+  for (const auto& bytes : {seal_batch({a, b}), seal_batch({a, b, b}),
+                            seal_batch(make_batch(8, 5, 7))}) {
+    // Without the trailer: a CRC over bytes plus their own CRC is constant.
+    crc = crc32_update(crc, std::span(bytes).first(bytes.size() - 4));
+  }
+  EXPECT_EQ(crc, 0xf0cdcfdau) << std::hex << crc;
 }
 
 }  // namespace
