@@ -116,26 +116,36 @@ void FleetRunner::run_supervised(const char* phase,
       });
 }
 
-void FleetRunner::seal_shard(std::size_t i) {
-  backend::ReportStore& local = shards_[i]->store();
-  if (local.report_count() == 0) return;
-  fleet_tsdb_.append_store(shards_[i]->id().value(), std::move(local));
+void FleetRunner::seal_all(const std::vector<bool>& keep) {
+  // A segment's bytes depend only on its shard's rows, so the seal fans out
+  // like the drain. Indexing runs serially in fleet order afterwards, so
+  // the vault's segment order is independent of worker scheduling. Each
+  // worker frees its shard's row store as soon as the segment exists.
+  std::vector<std::uint32_t> batch_seq(shards_.size(), 0);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (keep[i]) batch_seq[i] = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
+  }
+  std::vector<tsdb::FleetStore::Sealed> sealed(shards_.size());
+  parallel_for(shards_.size(), [&](std::size_t i) {
+    if (!keep[i]) return;
+    sealed[i] = tsdb::FleetStore::seal(shards_[i]->id().value(), batch_seq[i],
+                                       std::move(shards_[i]->store()));
+  });
+  for (auto& batch : sealed) fleet_tsdb_.add_sealed(std::move(batch));
 }
 
 void FleetRunner::incremental_harvest() {
   const telemetry::Stopwatch watch;
   const std::int64_t now_us = sim_now_us();
   // Drains are shard-confined (poller + tunnels + local store), so they fan
-  // out like campaigns; sealing then runs serially in fleet order, so the
-  // vault's segment sequence is independent of worker scheduling.
+  // out like campaigns.
   parallel_for(shards_.size(), [&](std::size_t i) {
     if (supervisor_.quarantined(i)) return;
     shards_[i]->drain_connected(now_us);
   });
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (supervisor_.quarantined(i)) continue;
-    seal_shard(i);
-  }
+  std::vector<bool> keep(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) keep[i] = !supervisor_.quarantined(i);
+  seal_all(keep);
   if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
     // An unwritable spill dir is an I/O problem, not a simulation problem:
     // segments stay resident (correct, just over budget) and the operator
@@ -195,8 +205,8 @@ void FleetRunner::run_link_windows(SimTime t) {
 
 void FleetRunner::harvest(HarvestMode mode) {
   // Drain in parallel (each poller touches only its shard's tunnels and
-  // store), then merge serially in fleet order: the global store's content
-  // is then independent of worker scheduling.
+  // store), then seal in parallel and index in fleet order (seal_all): the
+  // vault's content is then independent of worker scheduling.
   const telemetry::Stopwatch drain_watch;
   run_supervised("harvest_drain",
                  [mode](NetworkShard& shard) { shard.harvest_local(mode); });
@@ -204,18 +214,17 @@ void FleetRunner::harvest(HarvestMode mode) {
 
   const telemetry::Stopwatch merge_watch;
   const std::int64_t now_us = sim_now_us();
+  std::vector<bool> keep(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     // guard_merge is false for quarantined shards (their work is accounted
     // as lost_supervision, never merged) and for shards the harvest.merge
     // failpoint just quarantined. A quarantined shard may have sealed
     // batches earlier (streaming harvest runs before the failure): those
     // are dropped too, so no partial work reaches any analysis.
-    if (!supervisor_.guard_merge(i, now_us)) {
-      fleet_tsdb_.drop_network(shards_[i]->id().value());
-      continue;
-    }
-    seal_shard(i);
+    keep[i] = supervisor_.guard_merge(i, now_us);
+    if (!keep[i]) fleet_tsdb_.drop_network(shards_[i]->id().value());
   }
+  seal_all(keep);
   if (config_.mem_ceiling_mb > 0) {
     if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
       std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",

@@ -213,13 +213,14 @@ class FleetRunner {
   void run_campaign_phase(const char* phase, double sim_hours,
                           const std::function<void(NetworkShard&)>& fn);
   /// Streaming harvest (mem_ceiling_mb > 0): drains connected tunnels in
-  /// parallel, seals each shard's batch into the segment vault in fleet
-  /// order, releases the shard row stores, and spills if the ceiling
-  /// presses. Runs at every campaign phase boundary, so checkpoint cuts
-  /// between phases see sealed segments.
+  /// parallel, seals each shard's batch into the segment vault (seal_all),
+  /// and spills if the ceiling presses. Runs at every campaign phase
+  /// boundary, so checkpoint cuts between phases see sealed segments.
   void incremental_harvest();
-  /// Seals one shard's local store into the vault (no-op when empty).
-  void seal_shard(std::size_t i);
+  /// Seals every kept shard's local store on the worker pool, freeing each
+  /// store as its segment is built, then indexes the segments into the
+  /// vault serially in fleet order. Empty stores seal nothing.
+  void seal_all(const std::vector<bool>& keep);
   /// Sim-time stamp for supervision incidents/spans: the campaign clock at
   /// the current phase's start.
   [[nodiscard]] std::int64_t sim_now_us() const {

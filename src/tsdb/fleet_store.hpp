@@ -17,8 +17,11 @@
 // Spill decisions key on deterministic byte accounting, never getrusage,
 // so spilling changes where bytes live but not any analysis output.
 //
-// Not thread-safe: only the orchestrating thread touches it, matching the
-// fleet-order merge discipline in FleetRunner::harvest.
+// Threading: seal() is pure (it touches no vault state) and may run on any
+// worker; FleetRunner seals every shard's batch in parallel. add_sealed(),
+// drop_network(), spill and all reads run on the orchestrating thread
+// only, and FleetRunner calls add_sealed in fleet order, so the vault's
+// segment order never depends on worker scheduling.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +65,29 @@ class FleetStore final : public backend::ReportSource {
   void set_spill_dir(std::string dir) { spill_dir_ = std::move(dir); }
   [[nodiscard]] std::uint64_t mem_ceiling() const { return mem_ceiling_bytes_; }
 
-  /// Seals `store`'s reports (canonical order) into one segment for
-  /// `network_id` and consumes the store. Batch sequence numbers increment
-  /// per network in call order. Empty stores seal nothing.
+  /// One sealed batch, ready to index: the segment bytes plus the header
+  /// facts the vault keeps beside them.
+  struct Sealed {
+    std::uint32_t network_id = 0;
+    std::uint32_t batch_seq = 0;
+    std::uint64_t n_reports = 0;
+    std::uint64_t raw_wire_bytes = 0;
+    std::vector<std::uint8_t> bytes;    // empty: nothing was sealed
+    std::vector<std::uint32_t> ap_ids;  // distinct, ascending
+  };
+
+  /// Seals `store`'s reports (canonical order) into one segment and frees
+  /// the store. Pure: safe on any thread. An empty store seals nothing.
+  [[nodiscard]] static Sealed seal(std::uint32_t network_id, std::uint32_t batch_seq,
+                                   backend::ReportStore&& store);
+  /// Indexes a sealed batch (no-op for an empty one). The network's batch
+  /// counter advances past the batch's sequence number.
+  void add_sealed(Sealed&& sealed);
+  /// The sequence number the network's next batch takes.
+  [[nodiscard]] std::uint32_t next_batch_seq(std::uint32_t network_id) const;
+
+  /// add_sealed(seal(network_id, next_batch_seq(network_id), store)):
+  /// batch sequence numbers increment per network in call order.
   void append_store(std::uint32_t network_id, backend::ReportStore&& store);
 
   /// Restore path: validates a sealed segment and adopts it. The batch
@@ -115,6 +138,7 @@ class FleetStore final : public backend::ReportSource {
     std::uint32_t network_id = 0;
     std::uint32_t batch_seq = 0;
     std::uint64_t n_reports = 0;
+    std::uint64_t raw_wire_bytes = 0;
     std::uint64_t size = 0;
     std::vector<std::uint8_t> bytes;  // resident; empty once spilled
     std::string spill_file;           // non-empty once spilled
@@ -127,7 +151,6 @@ class FleetStore final : public backend::ReportSource {
     std::uint64_t reports = 0;
   };
 
-  void index_segment(Segment seg, const std::vector<std::uint32_t>& seg_aps);
   [[nodiscard]] Error load_segment(const Segment& seg, std::vector<std::uint8_t>& out) const;
   /// Decodes one network's segments into a scratch row store (canonical
   /// order within the network). Latches + reports false on failure.

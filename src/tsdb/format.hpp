@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -97,6 +98,11 @@ enum class ColumnId : std::uint8_t {
   kMeshHops = 35,
   kMeshRelayUs = 36,
 };
+
+/// RSSI columns switch from dictionary to raw fixed64 past this many
+/// distinct values (a dictionary larger than the rows it indexes inflates).
+/// Readers reject a kDictF64 block with a larger dictionary.
+inline constexpr std::size_t kMaxF64Dict = 4096;
 
 /// Per-block payload encodings. Integer columns pick whichever of
 /// kVarint/kDictVarint is smaller for their data — the choice depends only

@@ -18,6 +18,25 @@
 
 namespace wlm::tsdb {
 
+/// Slot hash of build_dict's open-addressing table (the murmur3 finalizer's
+/// first half): spreads high-bit-only differences, such as f64 bit
+/// patterns, into the low bits the table masks.
+[[nodiscard]] constexpr std::uint64_t dict_hash(std::uint64_t v) {
+  v ^= v >> 33;
+  v *= 0xff51afd7ed558ccdULL;
+  return v ^ (v >> 33);
+}
+
+/// Dictionary-codes `col` in linear time: `dict` receives its distinct
+/// values ascending and `ranks[i]` the index of `col[i]` in `dict`, exactly
+/// what sort + unique + lower_bound would give. One hash pass collects the
+/// distinct values; only those are sorted. Returns false, with `dict` and
+/// `ranks` unspecified, as soon as more than `max_distinct` values appear.
+/// `col` holds fewer than 2^32 rows.
+bool build_dict(std::span<const std::uint64_t> col, std::vector<std::uint64_t>& dict,
+                std::vector<std::uint32_t>& ranks,
+                std::size_t max_distinct = static_cast<std::size_t>(-1));
+
 class SegmentWriter {
  public:
   SegmentWriter(std::uint32_t network_id, std::uint32_t batch_seq)
