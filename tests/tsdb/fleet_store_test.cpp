@@ -185,6 +185,27 @@ TEST(FleetStore, DropNetworkRemovesItsReportsOnly) {
   });
 }
 
+TEST(FleetStore, DropNetworkLeavesTheStatsOfAVaultThatNeverHadIt) {
+  // Network 2 seals two batches; dropping it must take both out of every
+  // stat, so the vault reads as if network 2 had never been harvested.
+  Fixture f = make_fixture();
+  f.fleet.append_store(2, make_store(103, 3, 2, 9));
+  f.fleet.drop_network(2);
+  tsdb::FleetStore never;
+  never.append_store(1, make_store(100, 3, 4, 1));
+  never.append_store(3, make_store(106, 3, 4, 3));
+  const tsdb::FleetStoreStats& got = f.fleet.stats();
+  const tsdb::FleetStoreStats& want = never.stats();
+  EXPECT_EQ(got.segments_sealed, want.segments_sealed);
+  EXPECT_EQ(got.segments_spilled, want.segments_spilled);
+  EXPECT_EQ(got.spill_files, want.spill_files);
+  EXPECT_EQ(got.resident_bytes, want.resident_bytes);
+  EXPECT_EQ(got.spilled_bytes, want.spilled_bytes);
+  EXPECT_EQ(got.raw_wire_bytes, want.raw_wire_bytes);
+  EXPECT_EQ(got.reports, want.reports);
+  EXPECT_EQ(got.compression_ratio(), want.compression_ratio());
+}
+
 TEST(FleetStore, ClearResetsEverything) {
   Fixture f = make_fixture();
   f.fleet.clear();
