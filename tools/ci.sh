@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI: the tier-1 suite plus sanitizer passes.
 #
-#   tools/ci.sh            # tier-1 + dead-code scan + ASan/UBSan + TSan
+#   tools/ci.sh            # tier-1 + dead-code scan + perfbench smoke
+#                          #   + ASan/UBSan + TSan
 #   tools/ci.sh --fast     # tier-1 only
 #
 # Each configuration builds into its own tree (build/, build-deadcode/,
@@ -520,8 +521,31 @@ KEEP
     "$(wc -l < "${dir}/keep.txt") keep-listed ones"
 }
 
+# Benchmark smoke: one short run of each perfbench workload (it builds
+# perfbench/ under .bench_build/). Each run checks its outputs against
+# perfbench/pinned.json, and its last line is a JSON object whose
+# "correct" must be true. This catches a stale --wrap symbol or a moved
+# pinned signature here rather than at the next benchmark run.
+perfbench_smoke() {
+  local workload last
+  for workload in usage radio streaming; do
+    echo "=== perfbench smoke: ${workload} ==="
+    if ! last="$(python3 perfbench/run.py --workload "${workload}" --seed 2015 \
+        --trace 0 --seconds 1 | tail -n 1)"; then
+      echo "perfbench smoke: ${workload} exited nonzero" >&2
+      exit 1
+    fi
+    if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+        "${last}" 2> /dev/null; then
+      echo "perfbench smoke: ${workload} is not correct: ${last}" >&2
+      exit 1
+    fi
+  done
+}
+
 if [[ "${1:-}" != "--fast" ]]; then
   deadcode
+  perfbench_smoke
 
   # Sanitizer builds skip the `slow` label (fork-based e2e and golden
   # replays): the instrumented binaries run those campaigns 5-20x slower,
