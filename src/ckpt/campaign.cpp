@@ -23,16 +23,14 @@ std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
                                         const CampaignProgress& progress) {
   Writer w;
 
+  CampaignProgress stamped = progress;
+  stamped.sim_hours = runner.campaign_sim_hours();
   Buf meta;
-  meta.str(progress.label);
-  meta.u64(progress.phases_done.size());
-  for (const auto& phase : progress.phases_done) meta.str(phase);
-  meta.f64(runner.campaign_sim_hours());
-  save_ledger(meta, runner.loss_ledger());
+  save_meta(meta, stamped, runner.loss_ledger());
   w.add_section(SectionTag::kMeta, meta.take());
 
   Buf config;
-  save_world_config(config, runner.config());
+  save(config, runner.config());
   w.add_section(SectionTag::kConfig, config.take());
 
   // v4: the harvested fleet serializes as its sealed columnar segments —
@@ -50,8 +48,8 @@ std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
   w.add_section(SectionTag::kFleetStore, fleet_store.take());
 
   Buf fleet_telemetry;
-  save_metrics(fleet_telemetry, runner.metrics());
-  save_spans(fleet_telemetry, runner.trace());
+  save(fleet_telemetry, runner.metrics());
+  save(fleet_telemetry, runner.trace());
   w.add_section(SectionTag::kFleetTelemetry, fleet_telemetry.take());
 
   // Shards serialize on this (the orchestrating) thread in fleet order, so
@@ -65,7 +63,7 @@ std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
   // The supervision manifest rides in every checkpoint (usually empty): a
   // resumed degraded run must keep its incident history and quarantine set.
   Buf supervision;
-  save_manifest(supervision, runner.supervisor().manifest());
+  save(supervision, runner.supervisor().manifest());
   w.add_section(SectionTag::kSupervision, supervision.take());
 
   return w.finish();
@@ -88,7 +86,7 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
   if (!config_payload) return {Status::kMalformed, "missing config section"};
   Cursor config_cursor(*config_payload);
   sim::WorldConfig config;
-  if (!load_world_config(config_cursor, config) || !config_cursor.at_end()) {
+  if (!load(config_cursor, config) || !config_cursor.at_end()) {
     return {Status::kMalformed, "config section: malformed payload"};
   }
   config.threads = threads < 1 ? 1 : threads;
@@ -124,7 +122,7 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
   if (const auto payload = reader.find(SectionTag::kFleetTelemetry)) {
     Cursor c(*payload);
     std::vector<telemetry::TraceSpan> spans;
-    if (!load_metrics(c, runner->metrics()) || !load_spans(c, spans) || !c.at_end()) {
+    if (!load(c, runner->metrics()) || !load(c, spans) || !c.at_end()) {
       return section_error(c, "fleet telemetry");
     }
     runner->trace() = std::move(spans);
@@ -138,7 +136,7 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
   if (const auto payload = reader.find(SectionTag::kSupervision)) {
     Cursor c(*payload);
     failsafe::DegradedRunManifest manifest;
-    if (!load_manifest(c, manifest) || !c.at_end()) {
+    if (!load(c, manifest) || !c.at_end()) {
       return section_error(c, "supervision manifest");
     }
     runner->restore_supervision(std::move(manifest));
@@ -151,17 +149,8 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
   if (!meta_payload) return {Status::kMalformed, "missing meta section"};
   {
     Cursor c(*meta_payload);
-    progress.label = c.str();
-    const std::uint64_t n_phases = c.u64();
-    if (!c.ok() || n_phases > c.remaining()) {
-      return {Status::kMalformed, "meta: malformed payload"};
-    }
-    for (std::uint64_t i = 0; i < n_phases && c.ok(); ++i) {
-      progress.phases_done.push_back(c.str());
-    }
-    progress.sim_hours = c.f64();
     fault::LossLedger saved_ledger;
-    if (!load_ledger(c, saved_ledger) || !c.at_end()) {
+    if (!load_meta(c, progress, saved_ledger) || !c.at_end()) {
       return {Status::kMalformed, "meta: malformed payload"};
     }
     // Final cross-check: the ledger is derived from tunnel + poller state

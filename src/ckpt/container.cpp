@@ -1,5 +1,6 @@
 #include "ckpt/container.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -62,7 +63,7 @@ void Buf::str(std::string_view s) {
 // --- Cursor ---
 
 std::uint64_t Cursor::u64() {
-  if (!ok_) return 0;
+  if (!live()) return 0;
   const std::uint8_t* const at = data_.data() + pos_;
   std::uint64_t v = 0;
   const std::uint8_t* const next = wire::parse_varint(at, data_.data() + data_.size(), v);
@@ -77,7 +78,7 @@ std::uint64_t Cursor::u64() {
 std::int64_t Cursor::i64() { return wire::zigzag_decode(u64()); }
 
 double Cursor::f64() {
-  if (!ok_) return 0.0;
+  if (!live()) return 0.0;
   if (remaining() < 8) {
     ok_ = false;
     return 0.0;
@@ -88,6 +89,16 @@ double Cursor::f64() {
   return std::bit_cast<double>(bits);
 }
 
+void Cursor::f64(double& x, double lo, double hi) {
+  const double v = f64();
+  if (!live()) return;
+  if (!(v >= lo && v <= hi)) {
+    ok_ = false;
+    return;
+  }
+  x = v;
+}
+
 bool Cursor::boolean() {
   const std::uint64_t v = u64();
   if (v > 1) ok_ = false;
@@ -96,13 +107,22 @@ bool Cursor::boolean() {
 
 std::span<const std::uint8_t> Cursor::bytes() {
   const std::uint64_t n = u64();
-  if (!ok_ || n > remaining()) {
+  if (!live()) return {};
+  if (n > remaining()) {
     ok_ = false;
     return {};
   }
   const auto out = data_.subspan(pos_, static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return out;
+}
+
+bool Cursor::plausible_count(std::uint64_t count, std::size_t min_bytes_each) {
+  if (count > remaining() / std::max<std::size_t>(1, min_bytes_each)) {
+    fail();
+    return false;
+  }
+  return true;
 }
 
 std::string Cursor::str() {

@@ -204,7 +204,7 @@ Outputs run_campaign(const sim::WorldConfig& config) {
   Outputs out;
   out.prometheus = telemetry::to_prometheus(runner.metrics());
   ckpt::Buf b;
-  ckpt::save_store(b, test_support::to_store(runner.reports()));
+  ckpt::save(b, test_support::to_store(runner.reports()));
   out.store = b.take();
   out.ledger = runner.loss_ledger().render();
   return out;

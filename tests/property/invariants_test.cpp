@@ -133,15 +133,15 @@ TEST_P(SeededProperty, CheckpointStoreSaveLoadSaveIsIdentity) {
   for (std::int64_t i = 0; i < n; ++i) store.add(random_report(rng));
 
   ckpt::Buf first;
-  ckpt::save_store(first, store);
+  ckpt::save(first, store);
   const auto bytes = first.take();
   ckpt::Cursor c(bytes);
   backend::ReportStore loaded;
-  ASSERT_TRUE(ckpt::load_store(c, loaded));
+  ASSERT_TRUE(ckpt::load(c, loaded));
   ASSERT_TRUE(c.at_end());
   EXPECT_EQ(loaded.report_count(), store.report_count());
   ckpt::Buf second;
-  ckpt::save_store(second, loaded);
+  ckpt::save(second, loaded);
   EXPECT_EQ(bytes, second.take());
 }
 
@@ -159,13 +159,11 @@ TEST_P(SeededProperty, CheckpointRngRestoreMatchesEveryDistribution) {
     }
   }
   ckpt::Buf b;
-  ckpt::save_rng(b, subject.state());
+  ckpt::save(b, subject);
   const auto bytes = b.take();
   ckpt::Cursor c(bytes);
-  Rng::State state;
-  ASSERT_TRUE(ckpt::load_rng(c, state));
   Rng clone(0);
-  clone.restore(state);
+  ASSERT_TRUE(ckpt::load(c, clone));
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(subject.next_u64(), clone.next_u64());
     EXPECT_EQ(subject.normal(), clone.normal());
@@ -194,16 +192,16 @@ TEST_P(SeededProperty, CheckpointTunnelSaveLoadSaveIsIdentity) {
     }
   }
   ckpt::Buf first;
-  ckpt::save_tunnel(first, tunnel);
+  ckpt::save(first, tunnel);
   const auto bytes = first.take();
   ckpt::Cursor c(bytes);
   backend::Tunnel loaded(ApId{9}, /*queue_limit=*/8);
-  ASSERT_TRUE(ckpt::load_tunnel(c, loaded));
+  ASSERT_TRUE(ckpt::load(c, loaded));
   ASSERT_TRUE(c.at_end());
   EXPECT_EQ(loaded.pending(), tunnel.pending());
   EXPECT_EQ(loaded.connected(), tunnel.connected());
   ckpt::Buf second;
-  ckpt::save_tunnel(second, loaded);
+  ckpt::save(second, loaded);
   EXPECT_EQ(bytes, second.take());
 }
 
