@@ -1,5 +1,6 @@
 #include "fault/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -47,10 +48,13 @@ FaultSpec FaultSpec::clamped() const {
   const FaultSpec defaults;
   FaultSpec out = *this;
   out.flap_fraction = clamp01(flap_fraction);
-  out.outage_rate_per_week = clamp_nonneg(outage_rate_per_week, 0.0);
-  out.outage_mean_hours = clamp_nonneg(outage_mean_hours, defaults.outage_mean_hours);
+  out.outage_rate_per_week =
+      std::min(clamp_nonneg(outage_rate_per_week, 0.0), kMaxRatePerWeek);
+  out.outage_mean_hours = std::min(
+      clamp_nonneg(outage_mean_hours, defaults.outage_mean_hours), kMaxOutageMeanHours);
   if (out.outage_mean_hours <= 0.0) out.outage_mean_hours = defaults.outage_mean_hours;
-  out.reboot_rate_per_week = clamp_nonneg(reboot_rate_per_week, 0.0);
+  out.reboot_rate_per_week =
+      std::min(clamp_nonneg(reboot_rate_per_week, 0.0), kMaxRatePerWeek);
   out.firmware_wave_fraction = clamp01(firmware_wave_fraction);
   out.firmware_wave_hour = clamp_nonneg(firmware_wave_hour, defaults.firmware_wave_hour);
   if (out.firmware_wave_hour > 7.0 * 24.0) out.firmware_wave_hour = defaults.firmware_wave_hour;
@@ -99,15 +103,17 @@ std::optional<FaultSpec> FaultSpec::parse(std::string_view text, std::string* er
       spec.flap_fraction = *v;
     } else if (key == "outage_rate") {
       const auto v = nonneg(*num);
-      if (!v) return fail("outage_rate must be >= 0");
+      if (!v || *v > kMaxRatePerWeek) return fail("outage_rate must be within [0,1000]");
       spec.outage_rate_per_week = *v;
     } else if (key == "outage_hours") {
       const auto v = nonneg(*num);
-      if (!v || *v == 0.0) return fail("outage_hours must be > 0");
+      if (!v || *v == 0.0 || *v > kMaxOutageMeanHours) {
+        return fail("outage_hours must be within (0,8760]");
+      }
       spec.outage_mean_hours = *v;
     } else if (key == "reboot_rate") {
       const auto v = nonneg(*num);
-      if (!v) return fail("reboot_rate must be >= 0");
+      if (!v || *v > kMaxRatePerWeek) return fail("reboot_rate must be within [0,1000]");
       spec.reboot_rate_per_week = *v;
     } else if (key == "fw_wave") {
       const auto v = fraction(*num);

@@ -54,9 +54,17 @@ struct FaultSpec {
   /// capacity knob, not a disruption).
   [[nodiscard]] bool enabled() const;
 
+  /// Caps on the two Poisson rates and the mean outage duration, far above
+  /// any scenario studied (12/week, 6/week, 400 h): the fault plan draws a
+  /// Poisson count of intervals per AP, so an unbounded rate is unbounded
+  /// memory.
+  static constexpr double kMaxRatePerWeek = 1000.0;
+  static constexpr double kMaxOutageMeanHours = 8760.0;
+
   /// Returns a copy with every knob clamped to its legal range: fractions
   /// and probabilities to [0,1], rates and durations to non-negative finite
-  /// values, the queue limit to at least 1. NaNs degrade to the default.
+  /// values within the caps above, the queue limit to at least 1. NaNs
+  /// degrade to the default.
   [[nodiscard]] FaultSpec clamped() const;
 
   /// Parses the comma-separated key=value mini language. On failure returns

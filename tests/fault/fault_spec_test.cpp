@@ -97,5 +97,34 @@ TEST(FaultSpec, ParseRejectsBadValues) {
   EXPECT_NE(error.find("key=value"), std::string::npos);
 }
 
+TEST(FaultSpec, ParseRejectsRatesAndDurationsPastTheirCaps) {
+  // A rate of 1e12 would ask FaultPlan::build for 1e12 intervals per AP.
+  std::string error;
+  EXPECT_FALSE(FaultSpec::parse("outage_rate=1e12", &error).has_value());
+  EXPECT_NE(error.find("outage_rate"), std::string::npos);
+  EXPECT_FALSE(FaultSpec::parse("reboot_rate=1000.5", &error).has_value());
+  EXPECT_NE(error.find("reboot_rate"), std::string::npos);
+  EXPECT_FALSE(FaultSpec::parse("outage_hours=8761", &error).has_value());
+  EXPECT_NE(error.find("outage_hours"), std::string::npos);
+  // The caps themselves parse.
+  const auto spec = FaultSpec::parse("outage_rate=1000,reboot_rate=1000,outage_hours=8760");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->outage_rate_per_week, FaultSpec::kMaxRatePerWeek);
+  EXPECT_EQ(spec->reboot_rate_per_week, FaultSpec::kMaxRatePerWeek);
+  EXPECT_EQ(spec->outage_mean_hours, FaultSpec::kMaxOutageMeanHours);
+}
+
+TEST(FaultSpec, ClampedCapsRatesAndOutageDuration) {
+  FaultSpec spec;
+  spec.outage_rate_per_week = 1e12;
+  spec.reboot_rate_per_week = 5e6;
+  spec.outage_mean_hours = 1e9;
+  const FaultSpec c = spec.clamped();
+  EXPECT_EQ(c.outage_rate_per_week, FaultSpec::kMaxRatePerWeek);
+  EXPECT_EQ(c.reboot_rate_per_week, FaultSpec::kMaxRatePerWeek);
+  EXPECT_EQ(c.outage_mean_hours, FaultSpec::kMaxOutageMeanHours);
+  EXPECT_EQ(c, c.clamped());
+}
+
 }  // namespace
 }  // namespace wlm::fault
