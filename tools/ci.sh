@@ -183,29 +183,47 @@ per_smoke
 # Checkpoint/resume smoke: kill a campaign at a phase boundary, resume it in
 # a new process at a different --jobs, and require byte-identical stdout and
 # metrics versus the run that never stopped (the tier-1 e2e tests prove this
-# in-process; the smoke proves the shipped wlmctl wiring does too).
+# in-process; the smoke proves the shipped wlmctl wiring does too). The cut
+# file itself must not depend on --jobs.
 ckpt_smoke() {
   echo "=== checkpoint/resume smoke ==="
   local dir="build/ckpt-smoke"
   rm -rf "${dir}" && mkdir -p "${dir}"
-  local flags=(--networks 5 --seed 11 --faults "outage_rate=2,outage_hours=12,corrupt=0.01")
-  ./build/tools/wlmctl simulate "${flags[@]}" --jobs 2 \
-    --metrics-out "${dir}/full.metrics" > "${dir}/full.out"
-  ./build/tools/wlmctl simulate "${flags[@]}" --jobs 1 \
-    --checkpoint-out "${dir}/cut.wlmckpt" --halt-after-phase mr16 \
-    > "${dir}/halted.out" 2> /dev/null
-  ./build/tools/wlmctl simulate --resume-from "${dir}/cut.wlmckpt" --jobs 4 \
-    --metrics-out "${dir}/resumed.metrics" > "${dir}/resumed.out" 2> /dev/null
-  cmp "${dir}/full.out" "${dir}/resumed.out" || {
-    echo "ckpt smoke: resumed stdout differs from the uninterrupted run" >&2
-    exit 1
+  # kill_resume NAME FLAGS...: cut after mr16 at --jobs 1 and at --jobs 4,
+  # resume the first at --jobs 4, compare with an uninterrupted --jobs 2 run.
+  kill_resume() {
+    local name="$1"
+    shift
+    local out="${dir}/${name}"
+    ./build/tools/wlmctl simulate "$@" --jobs 2 \
+      --metrics-out "${out}.full.metrics" > "${out}.full.out"
+    local jobs
+    for jobs in 1 4; do
+      ./build/tools/wlmctl simulate "$@" --jobs "${jobs}" \
+        --checkpoint-out "${out}.cut${jobs}.wlmckpt" --halt-after-phase mr16 \
+        > /dev/null 2>&1
+    done
+    cmp "${out}.cut1.wlmckpt" "${out}.cut4.wlmckpt" || {
+      echo "ckpt smoke (${name}): the cut file differs between --jobs 1 and 4" >&2
+      exit 1
+    }
+    ./build/tools/wlmctl simulate --resume-from "${out}.cut1.wlmckpt" --jobs 4 \
+      --metrics-out "${out}.resumed.metrics" > "${out}.resumed.out" 2> /dev/null
+    cmp "${out}.full.out" "${out}.resumed.out" || {
+      echo "ckpt smoke (${name}): resumed stdout differs from the uninterrupted run" >&2
+      exit 1
+    }
+    cmp "${out}.full.metrics" "${out}.resumed.metrics" || {
+      echo "ckpt smoke (${name}): resumed metrics differ from the uninterrupted run" >&2
+      exit 1
+    }
   }
-  cmp "${dir}/full.metrics" "${dir}/resumed.metrics" || {
-    echo "ckpt smoke: resumed metrics differ from the uninterrupted run" >&2
-    exit 1
-  }
+  local faults="outage_rate=2,outage_hours=12,corrupt=0.01"
+  kill_resume faults --networks 5 --seed 11 --faults "${faults}"
+  kill_resume mobility-mesh --networks 5 --seed 11 --mobility on --mobility-steps 24 \
+    --mesh-fraction 0.5 --faults "${faults}"
   # A truncated checkpoint must fail with a diagnostic, not a crash.
-  head -c 40 "${dir}/cut.wlmckpt" > "${dir}/torn.wlmckpt"
+  head -c 40 "${dir}/faults.cut1.wlmckpt" > "${dir}/torn.wlmckpt"
   if ./build/tools/wlmctl simulate --resume-from "${dir}/torn.wlmckpt" \
     > /dev/null 2> "${dir}/torn.err"; then
     echo "ckpt smoke: resume from a truncated checkpoint succeeded" >&2
@@ -215,7 +233,16 @@ ckpt_smoke() {
     echo "ckpt smoke: truncated resume died without a diagnostic" >&2
     exit 1
   }
-  echo "ckpt smoke: kill/resume byte-identical, torn checkpoint fails closed"
+  # A fault rate past its cap is a usage error (exit 2), not an abort.
+  local rc=0
+  ./build/tools/wlmctl simulate --networks 1 --faults outage_rate=1e12 \
+    > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "ckpt smoke: --faults outage_rate=1e12 exited ${rc}, want 2" >&2
+    exit 1
+  fi
+  echo "ckpt smoke: kill/resume byte-identical (faults; mobility+mesh), cut files" \
+    "jobs-independent, torn checkpoint fails closed, oversized fault rate exits 2"
 }
 ckpt_smoke
 
@@ -482,7 +509,7 @@ wlm::phy::ChannelPlan::non_overlapping_2_4             tests check the channel p
 wlm::traffic::SessionModel::sample_week                empirical oracle for presence_probability
 wlm::classify::oui_registry                            its sorted-table test guards the binary search
 wlm::traffic::parse_pcap_lengths                       reads PcapWriter output back in tests
-wlm::tsdb::SegmentReader::time_bounds                  ROADMAP item 2's segment skipping is to use it
+wlm::tsdb::SegmentReader::time_bounds                  ROADMAP item 1's segment skipping is to use it
 KEEP
 )"
   if ! awk 'NF < 2 { exit 1 }' <<< "${keep}"; then
