@@ -1,4 +1,4 @@
-// Shared helpers for the experiment-regeneration binaries.
+// Shared helpers for the fault-sweep, full-scale and mobility benches.
 #pragma once
 
 #include <cstdint>
@@ -8,14 +8,13 @@
 
 namespace wlm::bench {
 
-/// Scale from argv: bench_x [networks] [client_scale] [seed] [threads].
-/// Benches default to a smaller fleet than the integration tests so that
-/// `for b in build/bench/*; do $b; done` finishes in minutes. The bounds are
+/// Scale from argv: bench_x [networks] [client_scale] [seed] [threads],
+/// with `default_networks` when networks is absent. The bounds are
 /// wlmctl's: networks in [1, 20667], client_scale finite and >= 0, threads
 /// >= 1. A malformed or out-of-range argument prints a usage line and exits
 /// with status 2.
 [[nodiscard]] analysis::ScenarioScale scale_from_args(int argc, char** argv,
-                                                      int default_networks = 250);
+                                                      int default_networks);
 
 /// Renders the two fields every BENCH_*.json record carries regardless of
 /// shape — `"fragments_frames_per_sec": R, "peak_rss_bytes": B` (no braces,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/scorecard.hpp"
 #include "core/stats.hpp"
 
 namespace wlm::analysis {
@@ -136,6 +137,13 @@ TEST(Calibration, Table4CapabilitiesThroughPipeline) {
   EXPECT_NEAR(run.caps_2014[4], 0.025, 0.02);
   EXPECT_NEAR(run.caps_2015[2], 0.649, 0.05);  // 5 GHz capable
   EXPECT_GT(run.caps_2015[3], run.caps_2014[3]);  // 40 MHz grew
+}
+
+TEST(Calibration, ScorecardHolds) {
+  // Every claim `wlmctl report scorecard` checks, among them Table 3, Table
+  // 6 and the pipeline's misclassification bound, which no test above does.
+  const auto card = run_scorecard(test_scale());
+  EXPECT_TRUE(card.all_passed()) << render_scorecard(card);
 }
 
 TEST(Calibration, SpectrumOccupancyOrdering) {

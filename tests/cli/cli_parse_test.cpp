@@ -2,11 +2,14 @@
 // table-driven rejection sweep over EVERY numeric wlmctl flag. The latter
 // runs the real binary: the regression this guards was not in any parser
 // but in a command forgetting to check one flag's parse result, so only an
-// end-to-end exit-code check holds the line as flags accrete.
+// end-to-end exit-code check holds the line as flags accrete. The same
+// binary's `report` artifact table is pinned against tests/golden/.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <sys/wait.h>
@@ -148,16 +151,21 @@ TEST(WlmctlFlagValidation, OutOfRangeMeshKnobsAreUsageErrors) {
   }
 }
 
+/// Runs a shell command; returns its exit code and what it printed to stdout.
+std::pair<int, std::string> run_capture(const std::string& shell) {
+  std::FILE* pipe = popen(shell.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
 /// Runs wlmctl; returns its exit code and what it printed to stderr.
 std::pair<int, std::string> wlmctl_run(const std::string& cmdline) {
-  const std::string full = std::string(WLMCTL_BIN) + " " + cmdline + " 2>&1 >/dev/null";
-  std::FILE* pipe = popen(full.c_str(), "r");
-  if (pipe == nullptr) return {-1, ""};
-  std::string err;
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) err += buf;
-  const int status = pclose(pipe);
-  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+  return run_capture(std::string(WLMCTL_BIN) + " " + cmdline + " 2>&1 >/dev/null");
 }
 
 TEST(WlmctlFlagValidation, UnknownOptionsAreUsageErrors) {
@@ -191,6 +199,68 @@ TEST(WlmctlFlagValidation, RetiredFlagsAreUnknownOptions) {
   expect_unknown("report table2", "per-mode");
   expect_unknown("export /tmp", "per-mode");
 }
+
+TEST(WlmctlFlagValidation, ScenarioOptionsReachOnlyTheirArtifacts) {
+  // A report artifact takes the fleet options plus the one scenario group
+  // it studies; any other scenario option is a usage error with a one-line
+  // diagnostic, not a render of the default scenario.
+  const auto expect_rejected = [](const std::string& artifact, const std::string& flags,
+                                  const std::string& first) {
+    const auto [code, err] = wlmctl_run("report " + artifact + " --networks 4 " + flags);
+    EXPECT_EQ(code, 2) << artifact << " " << flags;
+    EXPECT_EQ(err, "wlmctl: report " + artifact + " does not take --" + first + "\n");
+  };
+  expect_rejected("table3", "--mobility on --roam-prob 0.9 --mesh-fraction 0.5",
+                  "mesh-fraction");
+  expect_rejected("table3", "--mobility on", "mobility");
+  expect_rejected("roamcdf", "--mesh-fraction 0.5", "mesh-fraction");
+  expect_rejected("meshdelay", "--mobility on", "mobility");
+  expect_rejected("scorecard", "--roam-prob 0.5", "roam-prob");
+  // Controls: each scenario artifact takes its own group.
+  EXPECT_EQ(wlmctl_exit("report roamcdf --networks 2 --mobility on --roam-prob 0.5"), 0);
+  EXPECT_EQ(wlmctl_exit("report meshdelay --networks 2 --mesh-fraction 0.5"), 0);
+  // An unknown artifact is a usage error too.
+  EXPECT_EQ(wlmctl_exit("report table9 --networks 2"), 2);
+}
+
+#ifdef WLM_GOLDEN_DIR
+
+TEST(WlmctlReport, ArtifactNamesDispatchToTheirGoldens) {
+  // The golden suites pin the analysis renders called directly; this pins
+  // the shipped binary's name -> study -> render table against the same
+  // files, so a row wired to the wrong render fails here.
+  const std::string mesh = " --mesh-fraction 0.75 --mesh-drift-db 3 --mesh-floor-dbm -70";
+  const struct {
+    const char* artifact;
+    const char* golden;
+    std::string flags;
+  } rows[] = {
+      {"table2", "table2", ""},
+      {"table3", "table3", ""},
+      {"fig3", "fig3", ""},
+      {"fig6", "fig6", ""},
+      {"roamcdf", "mobility_roamcdf", ""},
+      {"apvisits", "mobility_apvisits", ""},
+      {"sticky", "mobility_sticky", ""},
+      {"meshdelivery", "meshdelivery", mesh},
+      {"meshdelay", "meshdelay", mesh},
+  };
+  for (const auto& row : rows) {
+    const std::string cmd = std::string("report ") + row.artifact +
+                            " --networks 12 --seed 2015 --jobs 2" + row.flags;
+    const auto [code, out] = run_capture(std::string(WLMCTL_BIN) + " " + cmd + " 2>/dev/null");
+    EXPECT_EQ(code, 0) << "wlmctl " << cmd;
+    std::ifstream in(std::string(WLM_GOLDEN_DIR) + "/" + row.golden + ".golden",
+                     std::ios::binary);
+    ASSERT_TRUE(in) << row.golden << ".golden unreadable";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_TRUE(out == golden.str())
+        << "wlmctl " << cmd << " differs from " << row.golden << ".golden";
+  }
+}
+
+#endif  // WLM_GOLDEN_DIR
 
 #endif  // WLMCTL_BIN
 

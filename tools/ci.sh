@@ -33,17 +33,23 @@ for example in quickstart site_survey traffic_audit link_monitor fleet_health; d
   ./build/examples/"${example}" > /dev/null
 done
 
-# Bench smoke: run the headline benches at a tiny scale. The scorecard's
-# paper-figure checks are allowed to fail at this scale (the calibration
-# targets assume a full-size fleet); the smoke only cares that the harness
-# itself runs. bench_fault_sweep's records must parse and carry the
-# throughput fields, and a table binary must write nothing but its stdout.
+# Bench smoke at a tiny scale. The scorecard's paper-figure checks may fail
+# here (the calibration targets assume a full-size fleet), so it may exit 1,
+# but any other exit (a crash, an abort) fails the smoke. bench_fault_sweep's
+# records must parse and carry the throughput fields, and a `wlmctl report`
+# must write nothing but its stdout.
 bench_smoke() {
   local json="build/BENCH_smoke.json"
+  local wlmctl="${PWD}/build/tools/wlmctl"
+  local cwd rc=0
   rm -f "${json}"
   echo "=== bench smoke (tiny scale) ==="
-  ./build/bench/bench_scorecard 12 0.2 7 2 > /dev/null \
-    || echo "bench_scorecard: nonzero exit tolerated at smoke scale"
+  "${wlmctl}" report scorecard --networks 12 --seed 7 --jobs 2 > /dev/null || rc=$?
+  if [[ "${rc}" -gt 1 ]]; then
+    echo "bench smoke: report scorecard exited ${rc}, want 0 or 1" >&2
+    exit 1
+  fi
+  echo "bench smoke: report scorecard exited ${rc} (1 is tolerated at smoke scale)"
   WLM_BENCH_JSON="${json}" ./build/bench/bench_fault_sweep 6 0.2 7 2 > /dev/null
   if [[ ! -s "${json}" ]]; then
     echo "bench smoke: ${json} missing or empty" >&2
@@ -74,29 +80,29 @@ EOF
     echo "bench smoke: throughput fields present (grep fallback)"
   fi
 
-  # A table binary run from an empty directory must exit 0 and leave the
+  # A report run from an empty directory must exit 0 and leave the
   # directory empty.
-  local table3="${PWD}/build/bench/bench_table3_os_usage"
-  local cwd rc=0
+  rc=0
   cwd="$(mktemp -d)"
-  (cd "${cwd}" && "${table3}" 12 0.2 7 2 > /dev/null) || rc=$?
+  (cd "${cwd}" && "${wlmctl}" report table3 --networks 12 --seed 7 --jobs 2 > /dev/null) \
+    || rc=$?
   if [[ "${rc}" -ne 0 ]]; then
-    echo "bench smoke: bench_table3_os_usage exited ${rc}" >&2
+    echo "bench smoke: report table3 exited ${rc}" >&2
     exit 1
   fi
   if [[ -n "$(ls -A "${cwd}")" ]]; then
-    echo "bench smoke: bench_table3_os_usage wrote into its working directory:" \
+    echo "bench smoke: report table3 wrote into its working directory:" \
       "$(ls -A "${cwd}")" >&2
     exit 1
   fi
   rmdir "${cwd}"
-  echo "bench smoke: bench_table3_os_usage exits 0 and writes no files"
+  echo "bench smoke: report table3 exits 0 and writes no files"
 
-  # A malformed scale argument is a usage error (exit 2), not a 0-network run.
+  # A malformed option value is a usage error (exit 2), not a 0-network run.
   rc=0
-  "${table3}" abc > /dev/null 2>&1 || rc=$?
+  "${wlmctl}" report table3 --networks abc > /dev/null 2>&1 || rc=$?
   if [[ "${rc}" -ne 2 ]]; then
-    echo "bench smoke: bench_table3_os_usage abc exited ${rc}, want 2" >&2
+    echo "bench smoke: report table3 --networks abc exited ${rc}, want 2" >&2
     exit 1
   fi
   echo "bench smoke: a malformed argument exits 2"

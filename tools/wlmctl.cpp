@@ -3,18 +3,17 @@
 //   wlmctl simulate [--networks N] [--seed S] [--jobs N] [--faults SPEC]
 //                   [--checkpoint-out F] [--checkpoint-every H]
 //                   [--resume-from F] [--halt-after-phase P]
-//   wlmctl report   <table2|table3|...|fig11>    regenerate one paper artifact
+//   wlmctl report   <artifact> [--networks N]    regenerate one paper table,
+//                                                figure or check (artifacts())
 //   wlmctl health   [--networks N] [--faults SPEC]  run a faulted week, triage
 //   wlmctl pcap     <path> [--flows N]           export a synthetic capture
 //   wlmctl stats    [--faults SPEC] [--metrics-out F] [--trace-out F]
 //                                                run a campaign, dump telemetry
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,6 +22,7 @@
 
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
+#include "analysis/scorecard.hpp"
 #include "backend/health.hpp"
 #include "ckpt/campaign.hpp"
 #include "cli/parse.hpp"
@@ -84,6 +84,10 @@ struct Command {
   OptionList options;
 };
 
+bool contains(const OptionList& options, std::string_view name) {
+  return std::find(options.begin(), options.end(), name) != options.end();
+}
+
 /// Splits the arguments after the subcommand into options and positionals.
 /// An option `command` does not read, or a final option with no value, is
 /// a usage error (nullopt, after a diagnostic): a misspelled or retired
@@ -97,8 +101,7 @@ std::optional<Args> parse_args(int argc, char** argv, const Command& command) {
       continue;
     }
     const std::string name = token.substr(2);
-    if (std::find(command.options.begin(), command.options.end(), name) ==
-        command.options.end()) {
+    if (!contains(command.options, name)) {
       std::fprintf(stderr, "wlmctl: unknown option --%s for %s\n", name.c_str(), command.name);
       return std::nullopt;
     }
@@ -482,76 +485,129 @@ int cmd_simulate(const Args& args) {
   return degraded ? kExitDegraded : 0;
 }
 
-int cmd_report(const Args& args) {
-  if (args.positional.empty()) {
-    std::fprintf(stderr, "usage: wlmctl report <artifact> [--networks N] [--seed S]\n");
-    return 2;
+/// Fleet size, parallelism and streaming harvest, which every report
+/// artifact reads; and the scenario packs, which only their studies read.
+const OptionList kFleetOptions = {"networks", "scale",          "seed",
+                                  "jobs",     "mem-ceiling-mb", "spill-dir"};
+const OptionList kMobilityOptions = {"mobility", "roam-prob", "mobility-speed", "mobility-steps"};
+const OptionList kMeshOptions = {"mesh-fraction", "mesh-max-hops", "mesh-floor-dbm",
+                                 "mesh-drift-db"};
+
+using Scale = analysis::ScenarioScale;
+
+/// Prints a render to stdout; returns exit code 0.
+int print(const std::string& text) {
+  std::fputs(text.c_str(), stdout);
+  return 0;
+}
+
+/// Runs `study` at the scale and prints its `render`.
+template <auto study, auto render>
+int show(const Scale& scale) {
+  return print(render(study(scale)));
+}
+
+/// One `wlmctl report` artifact: its name, the scenario group it reads
+/// (null for none), and the study and render that print it.
+struct Artifact {
+  const char* name;
+  const OptionList* scenario;
+  int (*run)(const Scale&);
+};
+
+const std::vector<Artifact>& artifacts() {
+  using namespace analysis;
+  // The mobility studies force mobility on and the mesh studies force a
+  // nonzero mesh fraction; their groups' options shape the walk or backhaul.
+  static const std::vector<Artifact> table = {
+      {"table2", nullptr, [](const Scale& s) { return print(render_table2(s)); }},
+      {"table3", nullptr, show<run_usage_study, render_table3>},
+      {"table4", nullptr, show<run_snapshot_study, render_table4>},
+      {"table5", nullptr, [](const Scale& s) { return print(render_table5(run_usage_study(s))); }},
+      {"table6", nullptr, show<run_usage_study, render_table6>},
+      {"table7", nullptr, show<run_neighbor_study, render_table7>},
+      {"fig1", nullptr, show<run_snapshot_study, render_fig1>},
+      {"fig2", nullptr, show<run_neighbor_study, render_fig2>},
+      {"fig3", nullptr, show<run_link_study, render_fig3>},
+      {"fig4", nullptr, show<run_link_study, render_fig4>},
+      {"fig5", nullptr, show<run_link_study, render_fig5>},
+      {"fig6", nullptr, show<run_utilization_study, render_fig6>},
+      {"fig7", nullptr, show<run_utilization_study, render_fig7>},
+      {"fig8", nullptr, show<run_utilization_study, render_fig8>},
+      {"fig9", nullptr, show<run_utilization_study, render_fig9>},
+      {"fig10", nullptr, show<run_utilization_study, render_fig10>},
+      {"fig11", nullptr,
+       [](const Scale& s) { return print(render_fig11(run_spectrum_study(s.seed))); }},
+      {"scorecard", nullptr,
+       [](const Scale& s) {
+         const auto card = run_scorecard(s);
+         print(render_scorecard(card));
+         return card.all_passed() ? 0 : 1;
+       }},
+      {"overhead", nullptr,
+       [](const Scale& s) {
+         print(render_wire_overhead_full(run_wire_overhead_study(s)));
+         return print(render_wire_overhead(run_usage_study(s)));
+       }},
+      {"roamcdf", &kMobilityOptions, show<run_mobility_study, render_roam_cdf>},
+      {"apvisits", &kMobilityOptions, show<run_mobility_study, render_ap_visits>},
+      {"sticky", &kMobilityOptions, show<run_mobility_study, render_sticky_clients>},
+      {"meshdelivery", &kMeshOptions, show<run_mesh_study, render_mesh_delivery>},
+      {"meshdelay", &kMeshOptions, show<run_mesh_study, render_mesh_delay>},
+  };
+  return table;
+}
+
+/// The names of the artifacts that take `scenario`, as lines indented 14
+/// columns and at most 80 wide.
+std::string artifact_lines(const OptionList* scenario) {
+  std::string lines;
+  std::string line;
+  for (const auto& artifact : artifacts()) {
+    if (artifact.scenario != scenario) continue;
+    if (line.size() + 1 + std::strlen(artifact.name) > 67) {
+      lines += std::string(13, ' ') + line + '\n';
+      line.clear();
+    }
+    line += ' ' + std::string(artifact.name);
   }
-  analysis::ScenarioScale scale;
+  return lines + std::string(13, ' ') + line + '\n';
+}
+
+/// The analysis scale the fleet and scenario options ask for; nullopt,
+/// after a diagnostic, on a bad value.
+std::optional<Scale> analysis_scale(const Args& args) {
+  Scale scale;
   scale.networks = resolve_networks(args, 150);
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 2015));
   scale.threads = args.get_int("jobs", 1);
-  if (!validate_scale(args, scale.networks, scale.threads)) return 2;
-  if (!apply_mem_ceiling(args, scale.mem_ceiling_mb, scale.spill_dir)) return 2;
-  if (!apply_mobility(args, scale.mobility)) return 2;
-  if (!apply_mesh(args, scale.mesh)) return 2;
-  const std::string& what = args.positional[0];
+  const bool ok = validate_scale(args, scale.networks, scale.threads) &&
+                  apply_mem_ceiling(args, scale.mem_ceiling_mb, scale.spill_dir) &&
+                  apply_mobility(args, scale.mobility) && apply_mesh(args, scale.mesh);
+  return ok ? std::optional(scale) : std::nullopt;
+}
 
-  if (what == "table2") {
-    std::fputs(analysis::render_table2(scale).c_str(), stdout);
-  } else if (what == "table3" || what == "table5" || what == "table6") {
-    const auto run = analysis::run_usage_study(scale);
-    if (what == "table3") std::fputs(analysis::render_table3(run).c_str(), stdout);
-    if (what == "table5") std::fputs(analysis::render_table5(run).c_str(), stdout);
-    if (what == "table6") std::fputs(analysis::render_table6(run).c_str(), stdout);
-  } else if (what == "table4" || what == "fig1") {
-    const auto run = analysis::run_snapshot_study(scale);
-    std::fputs((what == "table4" ? analysis::render_table4(run)
-                                 : analysis::render_fig1(run))
-                   .c_str(),
-               stdout);
-  } else if (what == "table7" || what == "fig2") {
-    const auto run = analysis::run_neighbor_study(scale);
-    std::fputs(
-        (what == "table7" ? analysis::render_table7(run) : analysis::render_fig2(run))
-            .c_str(),
-        stdout);
-  } else if (what == "fig3" || what == "fig4" || what == "fig5") {
-    const auto run = analysis::run_link_study(scale);
-    if (what == "fig3") std::fputs(analysis::render_fig3(run).c_str(), stdout);
-    if (what == "fig4") std::fputs(analysis::render_fig4(run).c_str(), stdout);
-    if (what == "fig5") std::fputs(analysis::render_fig5(run).c_str(), stdout);
-  } else if (what == "fig6" || what == "fig7" || what == "fig8" || what == "fig9" ||
-             what == "fig10") {
-    const auto run = analysis::run_utilization_study(scale);
-    if (what == "fig6") std::fputs(analysis::render_fig6(run).c_str(), stdout);
-    if (what == "fig7") std::fputs(analysis::render_fig7(run).c_str(), stdout);
-    if (what == "fig8") std::fputs(analysis::render_fig8(run).c_str(), stdout);
-    if (what == "fig9") std::fputs(analysis::render_fig9(run).c_str(), stdout);
-    if (what == "fig10") std::fputs(analysis::render_fig10(run).c_str(), stdout);
-  } else if (what == "fig11") {
-    std::fputs(analysis::render_fig11(analysis::run_spectrum_study(scale.seed)).c_str(),
-               stdout);
-  } else if (what == "roamcdf" || what == "apvisits" || what == "sticky") {
-    // The mobility studies force mobility on; --roam-prob and the other
-    // knobs shape the walk.
-    const auto run = analysis::run_mobility_study(scale);
-    if (what == "roamcdf") std::fputs(analysis::render_roam_cdf(run).c_str(), stdout);
-    if (what == "apvisits") std::fputs(analysis::render_ap_visits(run).c_str(), stdout);
-    if (what == "sticky") std::fputs(analysis::render_sticky_clients(run).c_str(), stdout);
-  } else if (what == "meshdelivery" || what == "meshdelay") {
-    // The mesh studies force a nonzero mesh fraction; --mesh-fraction and
-    // the other knobs shape the backhaul.
-    const auto run = analysis::run_mesh_study(scale);
-    if (what == "meshdelivery") {
-      std::fputs(analysis::render_mesh_delivery(run).c_str(), stdout);
-    }
-    if (what == "meshdelay") std::fputs(analysis::render_mesh_delay(run).c_str(), stdout);
-  } else {
-    std::fprintf(stderr, "unknown artifact '%s'\n", what.c_str());
+int cmd_report(const Args& args) {
+  const std::string what = args.positional.empty() ? "" : args.positional[0];
+  const auto& table = artifacts();
+  const auto artifact = std::find_if(table.begin(), table.end(),
+                                     [&](const Artifact& a) { return what == a.name; });
+  if (artifact == table.end()) {
+    std::fprintf(stderr, "wlmctl: report expects an artifact, got '%s'; the artifacts are:\n%s%s%s",
+                 what.c_str(), artifact_lines(nullptr).c_str(),
+                 artifact_lines(&kMobilityOptions).c_str(), artifact_lines(&kMeshOptions).c_str());
     return 2;
   }
-  return 0;
+  // Of the scenario options parse_args admitted, take only this artifact's.
+  const OptionList* scenario = artifact->scenario;
+  for (const auto& [name, value] : args.options) {
+    if (!contains(kFleetOptions, name) && !(scenario != nullptr && contains(*scenario, name))) {
+      std::fprintf(stderr, "wlmctl: report %s does not take --%s\n", what.c_str(), name.c_str());
+      return 2;
+    }
+  }
+  const auto scale = analysis_scale(args);
+  return scale ? artifact->run(*scale) : 2;
 }
 
 int cmd_health(const Args& args) {
@@ -740,29 +796,25 @@ int cmd_export(const Args& args) {
     std::fprintf(stderr, "usage: wlmctl export <dir> [--networks N] [--seed S]\n");
     return 2;
   }
-  analysis::ScenarioScale scale;
-  scale.networks = resolve_networks(args, 150);
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 2015));
-  scale.threads = args.get_int("jobs", 1);
-  if (!validate_scale(args, scale.networks, scale.threads)) return 2;
-  if (!apply_mem_ceiling(args, scale.mem_ceiling_mb, scale.spill_dir)) return 2;
+  const auto scale = analysis_scale(args);
+  if (!scale) return 2;
   const std::string& dir = args.positional[0];
 
   std::vector<analysis::CsvDoc> docs;
-  docs.push_back(analysis::export_fig1(analysis::run_snapshot_study(scale)));
+  docs.push_back(analysis::export_fig1(analysis::run_snapshot_study(*scale)));
   {
-    const auto link = analysis::run_link_study(scale);
+    const auto link = analysis::run_link_study(*scale);
     docs.push_back(analysis::export_fig3(link));
   }
   {
-    const auto util = analysis::run_utilization_study(scale);
+    const auto util = analysis::run_utilization_study(*scale);
     docs.push_back(analysis::export_fig6(util));
     docs.push_back(analysis::export_fig78(util));
     docs.push_back(analysis::export_fig9(util));
   }
-  docs.push_back(analysis::export_table7(analysis::run_neighbor_study(scale)));
-  docs.push_back(analysis::export_fig11(analysis::run_spectrum_study(scale.seed)));
-  docs.push_back(analysis::export_scorecard_data(analysis::run_usage_study(scale)));
+  docs.push_back(analysis::export_table7(analysis::run_neighbor_study(*scale)));
+  docs.push_back(analysis::export_fig11(analysis::run_spectrum_study(scale->seed)));
+  docs.push_back(analysis::export_scorecard_data(analysis::run_usage_study(*scale)));
 
   for (const auto& doc : docs) {
     if (!analysis::write_csv(doc, dir)) {
@@ -792,17 +844,14 @@ int usage() {
                "            phases: usage_week, mr16, link_windows, harvest. A resume\n"
                "            replays only unfinished phases; its output is byte-identical\n"
                "            to an uninterrupted run at any --jobs\n"
-               "  report    <table2..table7|fig1..fig11|roamcdf|apvisits|sticky\n"
-               "             |meshdelivery|meshdelay>\n"
-               "            [--networks N] [--scale paper]\n"
-               "            [--seed S] [--jobs N]\n"
+               "  report    <artifact> [--networks N] [--scale paper] [--seed S] [--jobs N]\n"
                "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
-               "            [--mobility on|off] [--roam-prob P] [--mobility-speed M]\n"
-               "            [--mobility-steps N] [--mesh-fraction F] [--mesh-max-hops N]\n"
-               "            [--mesh-floor-dbm D] [--mesh-drift-db D]\n"
-               "            roamcdf/apvisits/sticky run a mobility-enabled usage week\n"
-               "            meshdelivery/meshdelay run a mesh-enabled usage week and\n"
-               "            render delivery ratio / relay delay vs hop count\n"
+               "%s"
+               "            mobility artifacts also take [--mobility on|off] [--roam-prob P]\n"
+               "            [--mobility-speed M] [--mobility-steps N]:\n%s"
+               "            mesh artifacts also take [--mesh-fraction F] [--mesh-max-hops N]\n"
+               "            [--mesh-floor-dbm D] [--mesh-drift-db D]:\n%s"
+               "            scorecard checks every paper claim; it exits 1 if one fails\n"
                "  health    [--networks N] [--seed S] [--faults SPEC] [--jobs N]\n"
                "  pcap      <path> [--flows N] [--seed S]\n"
                "  export    <dir> [--networks N] [--scale paper] [--seed S] [--jobs N]\n"
@@ -843,7 +892,9 @@ int usage() {
                "\n"
                "exit codes: 0 ok; 1 runtime failure; 2 usage error; 3 campaign finished\n"
                "degraded (shards quarantined, output partial but accounted); 4 resume\n"
-               "checkpoint missing or unreadable\n");
+               "checkpoint missing or unreadable\n",
+               artifact_lines(nullptr).c_str(), artifact_lines(&kMobilityOptions).c_str(),
+               artifact_lines(&kMeshOptions).c_str());
   return 2;
 }
 
@@ -857,21 +908,18 @@ OptionList join(std::initializer_list<OptionList> groups) {
 const std::vector<Command>& commands() {
   // Fleet size, parallelism and streaming harvest; the scenario packs;
   // faults and supervision.
-  const OptionList fleet = {"networks", "scale", "seed", "jobs", "mem-ceiling-mb", "spill-dir"};
-  const OptionList scenario = {"mobility",      "roam-prob",     "mobility-speed",
-                               "mobility-steps", "mesh-fraction", "mesh-max-hops",
-                               "mesh-floor-dbm", "mesh-drift-db"};
+  const OptionList scenario = join({kMobilityOptions, kMeshOptions});
   const OptionList faults = {"faults", "failpoints", "max-shard-retries", "shard-deadline"};
   static const std::vector<Command> table = {
       {"simulate", cmd_simulate,
-       join({fleet, scenario, faults,
+       join({kFleetOptions, scenario, faults,
              {"checkpoint-out", "checkpoint-every", "resume-from", "halt-after-phase",
               "metrics-out"}})},
-      {"report", cmd_report, join({fleet, scenario})},
-      {"health", cmd_health, join({fleet, scenario, faults})},
+      {"report", cmd_report, join({kFleetOptions, scenario})},
+      {"health", cmd_health, join({kFleetOptions, scenario, faults})},
       {"pcap", cmd_pcap, {"flows", "seed"}},
-      {"export", cmd_export, fleet},
-      {"stats", cmd_stats, join({fleet, scenario, faults, {"metrics-out", "trace-out"}})},
+      {"export", cmd_export, kFleetOptions},
+      {"stats", cmd_stats, join({kFleetOptions, scenario, faults, {"metrics-out", "trace-out"}})},
   };
   return table;
 }
