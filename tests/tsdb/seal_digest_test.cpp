@@ -9,6 +9,11 @@
 // final harvest seals a second batch for some networks; the ceiling run
 // seals one batch per phase and spills, so its segments are read back from
 // spill files.
+//
+// A second CRC covers what the vault's readers see: the for_each stream,
+// a for_each_in window and the for_each_ap batch boundaries. The runner
+// reads with as many threads as it simulates with, so the read digest is
+// pinned across jobs as well.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +22,8 @@
 #include <vector>
 
 #include "core/checksum.hpp"
+#include "wire/encoder.hpp"
+#include "wire/messages.hpp"
 #include "sim/fleet_runner.hpp"
 
 namespace wlm {
@@ -24,6 +31,7 @@ namespace {
 
 struct Digest {
   std::uint32_t crc = 0;
+  std::uint32_t read_crc = 0;
   std::size_t segments = 0;
   std::size_t multi_batch_networks = 0;
   std::uint64_t spilled = 0;
@@ -48,6 +56,28 @@ sim::WorldConfig digest_config(int threads, std::uint64_t ceiling_mb,
   config.mobility.enabled = true;
   config.mesh.mesh_fraction = 0.4;
   return config;
+}
+
+std::uint32_t read_digest(const backend::ReportSource& source) {
+  std::uint32_t crc = 0;
+  const auto add_report = [&crc](const wire::ApReport& r) {
+    wire::Encoder encoder;
+    wire::encode_report_into(r, encoder);
+    crc = crc32_update(crc, encoder.bytes());
+  };
+  const auto add_u64 = [&crc](std::uint64_t v) {
+    crc = crc32_update(crc, std::span(reinterpret_cast<const std::uint8_t*>(&v), sizeof v));
+  };
+  source.for_each(add_report);
+  add_u64(~0ULL);
+  source.for_each_in(SimTime::epoch() + Duration::days(1), SimTime::epoch() + Duration::days(4),
+                     add_report);
+  add_u64(~0ULL);
+  source.for_each_ap([&](ApId ap, const std::vector<wire::ApReport>& batch) {
+    add_u64(ap.value());
+    add_u64(batch.size());
+  });
+  return crc;
 }
 
 Digest run_digest(int threads, std::uint64_t ceiling_mb, const std::string& spill_dir) {
@@ -81,6 +111,8 @@ Digest run_digest(int threads, std::uint64_t ceiling_mb, const std::string& spil
       if (r.mesh_hops > 0) ++d.mesh_relayed;
     })) << "segment " << i;
   }
+  d.read_crc = read_digest(runner.reports());
+  EXPECT_FALSE(vault.last_error()) << vault.last_error().detail;
   return d;
 }
 
@@ -88,6 +120,10 @@ Digest run_digest(int threads, std::uint64_t ceiling_mb, const std::string& spil
 // the order the vault holds them in, moves these.
 constexpr std::uint32_t kClassicDigest = 0xb0111ec0;
 constexpr std::uint32_t kStreamingDigest = 0x54698462;
+// Pinned at the serial read: the reports, their order and the per-AP
+// batches any ReportSource consumer sees.
+constexpr std::uint32_t kClassicRead = 0x4d160f44;
+constexpr std::uint32_t kStreamingRead = 0x6bfc3a17;
 
 void expect_every_column_kind(const Digest& d) {
   EXPECT_GT(d.usage, 0u);
@@ -107,6 +143,8 @@ TEST(SealDigest, ClassicHarvestSegmentsArePinnedAcrossJobs) {
   const Digest parallel = run_digest(4, 0, ".");
   EXPECT_EQ(parallel.segments, serial.segments);
   EXPECT_EQ(parallel.crc, kClassicDigest) << std::hex << parallel.crc;
+  EXPECT_EQ(serial.read_crc, kClassicRead) << std::hex << serial.read_crc;
+  EXPECT_EQ(parallel.read_crc, kClassicRead) << std::hex << parallel.read_crc;
 }
 
 TEST(SealDigest, CeilingHarvestSegmentsArePinnedAcrossJobs) {
@@ -119,6 +157,8 @@ TEST(SealDigest, CeilingHarvestSegmentsArePinnedAcrossJobs) {
   const Digest parallel = run_digest(4, 1, spill_dir + "4");
   EXPECT_EQ(parallel.segments, serial.segments);
   EXPECT_EQ(parallel.crc, kStreamingDigest) << std::hex << parallel.crc;
+  EXPECT_EQ(serial.read_crc, kStreamingRead) << std::hex << serial.read_crc;
+  EXPECT_EQ(parallel.read_crc, kStreamingRead) << std::hex << parallel.read_crc;
 }
 
 }  // namespace
