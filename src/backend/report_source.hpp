@@ -7,6 +7,11 @@
 // visits reports in the canonical order — ascending AP id, per-AP arrival
 // order — which is what makes renders bit-identical across storage
 // backends and --jobs values.
+//
+// Callbacks run on the thread that called the visit, one at a time, never
+// concurrently — even when the source decodes on helper threads behind the
+// scenes (tsdb::FleetStore reads ahead on the runner's workers). A visitor
+// may therefore update its own state without locking.
 #pragma once
 
 #include <cstddef>

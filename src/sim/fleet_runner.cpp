@@ -28,9 +28,12 @@ FleetRunner::FleetRunner(WorldConfig config)
 
   // Segment vault knobs: the MiB ceiling becomes a byte budget for sealed
   // segments; spill decisions inside the vault key on deterministic byte
-  // accounting only (never getrusage), so output is spill-invariant.
+  // accounting only (never getrusage), so output is spill-invariant. Reads
+  // decode ahead on as many threads as the campaigns run on and still
+  // deliver in canonical order, so output is --jobs-invariant too.
   fleet_tsdb_.set_mem_ceiling(config_.mem_ceiling_mb * 1024 * 1024);
   fleet_tsdb_.set_spill_dir(config_.spill_dir);
+  fleet_tsdb_.set_read_threads(config_.threads);
 
   ShardConfig shard_config;
   shard_config.epoch = config_.fleet.epoch;

@@ -1,8 +1,12 @@
 #include "tsdb/fleet_store.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <sys/stat.h>
+#include <thread>
 
 #include "ckpt/container.hpp"
 
@@ -177,27 +181,120 @@ Error FleetStore::load_segment(const Segment& seg, std::vector<std::uint8_t>& ou
   return {};
 }
 
-bool FleetStore::materialize(const Network& net, backend::ReportStore& out) const {
+Error FleetStore::materialize(const Network& net, backend::ReportStore& out) const {
   std::vector<std::uint8_t> scratch;
   for (const std::size_t i : net.segment_idx) {
     const Segment& seg = segments_[i];
     if (seg.n_reports == 0) continue;
     std::span<const std::uint8_t> bytes = seg.bytes;
     if (!seg.spill_file.empty()) {
-      if (auto err = load_segment(seg, scratch)) {
-        if (last_error_.ok()) last_error_ = err;
-        return false;
-      }
+      if (auto err = load_segment(seg, scratch)) return err;
       bytes = scratch;
     }
-    const auto err =
-        SegmentReader::for_each(bytes, [&out](wire::ApReport&& r) { out.add(std::move(r)); });
-    if (err.status != Status::kOk) {
-      if (last_error_.ok()) last_error_ = err;
-      return false;
+    if (auto err = SegmentReader::for_each(
+            bytes, [&out](wire::ApReport&& r) { out.add(std::move(r)); })) {
+      return err;
     }
   }
-  return true;
+  return {};
+}
+
+namespace {
+
+/// One network's place in the read-ahead window.
+struct Decoded {
+  backend::ReportStore store;
+  Error err;
+  std::exception_ptr thrown;  // a helper's exception, rethrown by the caller
+  bool ready = false;         // set under the window's lock
+};
+
+}  // namespace
+
+void FleetStore::visit(const std::function<void(const backend::ReportStore&)>& deliver) const {
+  std::vector<const Network*> nets;
+  nets.reserve(networks_.size());
+  for (const auto& [id, net] : networks_) nets.push_back(&net);
+  const std::size_t helpers =
+      std::min(static_cast<std::size_t>(read_threads_ - 1), nets.empty() ? 0 : nets.size() - 1);
+  // Network i decodes into slot i % window, which is free once network
+  // i - window has been delivered; so at most `window` decoded networks
+  // exist at a time.
+  const std::size_t window = 8 * (helpers + 1);
+  std::vector<Decoded> slots(window);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t next_claim = 0;      // first network nobody has started decoding
+  std::size_t next_delivery = 0;   // first network not yet delivered
+  bool stop = false;
+
+  const auto helper = [&] {
+    std::unique_lock lock(mu);
+    while (true) {
+      cv.wait(lock, [&] {
+        return stop || next_claim >= nets.size() || next_claim < next_delivery + window;
+      });
+      if (stop || next_claim >= nets.size()) return;
+      const std::size_t i = next_claim++;
+      lock.unlock();
+      Decoded& slot = slots[i % window];
+      try {
+        slot.err = materialize(*nets[i], slot.store);
+      } catch (...) {
+        slot.thrown = std::current_exception();
+      }
+      lock.lock();
+      slot.ready = true;
+      cv.notify_all();
+    }
+  };
+
+  // Joins every helper on any way out of this function, the callback's
+  // exceptions included, before the state they share goes away.
+  std::vector<std::thread> pool;
+  struct Joiner {
+    std::mutex& mu;
+    std::condition_variable& cv;
+    bool& stop;
+    std::vector<std::thread>& pool;
+    ~Joiner() {
+      {
+        const std::lock_guard lock(mu);
+        stop = true;
+      }
+      cv.notify_all();
+      for (auto& t : pool) t.join();
+    }
+  } joiner{mu, cv, stop, pool};
+  pool.reserve(helpers);
+  for (std::size_t t = 0; t < helpers; ++t) pool.emplace_back(helper);
+
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    Decoded& slot = slots[i % window];
+    {
+      std::unique_lock lock(mu);
+      if (next_claim == i) {
+        // No helper got to it yet: decode it here rather than wait.
+        ++next_claim;
+        lock.unlock();
+        slot.err = materialize(*nets[i], slot.store);
+      } else {
+        cv.wait(lock, [&] { return slot.ready; });
+      }
+    }
+    if (slot.thrown) std::rethrow_exception(slot.thrown);
+    if (slot.err) {
+      if (last_error_.ok()) last_error_ = slot.err;
+      return;
+    }
+    deliver(slot.store);
+    slot = {};
+    {
+      const std::lock_guard lock(mu);
+      next_delivery = i + 1;
+    }
+    cv.notify_all();
+  }
 }
 
 std::size_t FleetStore::ap_count() const {
@@ -207,29 +304,17 @@ std::size_t FleetStore::ap_count() const {
 }
 
 void FleetStore::for_each(const std::function<void(const wire::ApReport&)>& fn) const {
-  for (const auto& [id, net] : networks_) {
-    backend::ReportStore scratch;
-    if (!materialize(net, scratch)) return;
-    scratch.for_each(fn);
-  }
+  visit([&fn](const backend::ReportStore& scratch) { scratch.for_each(fn); });
 }
 
 void FleetStore::for_each_in(SimTime from, SimTime to,
                              const std::function<void(const wire::ApReport&)>& fn) const {
-  for (const auto& [id, net] : networks_) {
-    backend::ReportStore scratch;
-    if (!materialize(net, scratch)) return;
-    scratch.for_each_in(from, to, fn);
-  }
+  visit([&](const backend::ReportStore& scratch) { scratch.for_each_in(from, to, fn); });
 }
 
 void FleetStore::for_each_ap(
     const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn) const {
-  for (const auto& [id, net] : networks_) {
-    backend::ReportStore scratch;
-    if (!materialize(net, scratch)) return;
-    scratch.for_each_ap(fn);
-  }
+  visit([&fn](const backend::ReportStore& scratch) { scratch.for_each_ap(fn); });
 }
 
 }  // namespace wlm::tsdb

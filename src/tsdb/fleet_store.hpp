@@ -6,8 +6,9 @@
 // until the configured memory ceiling presses, then spill to disk as
 // sections of a ckpt container (tag kTsdbSegments) and are read back — and
 // re-validated against their own CRCs — only when a reader visits that
-// network. Reads materialize one network at a time, so peak read-side
-// memory is one network's reports, not the fleet's.
+// network. Reads materialize whole networks into scratch row stores and
+// free each as soon as it is delivered, so peak read-side memory is a
+// bounded window of networks' reports, not the fleet's.
 //
 // Determinism: segments are sealed from canonically-ordered stores and
 // visited ascending by network id, batch order within a network. AP ids
@@ -19,12 +20,20 @@
 //
 // Threading: seal() is pure (it touches no vault state) and may run on any
 // worker; FleetRunner seals every shard's batch in parallel. add_sealed(),
-// drop_network(), spill and all reads run on the orchestrating thread
-// only, and FleetRunner calls add_sealed in fleet order, so the vault's
-// segment order never depends on worker scheduling.
+// drop_network() and spill run on the orchestrating thread only, and
+// FleetRunner calls add_sealed in fleet order, so the vault's segment
+// order never depends on worker scheduling. Reads are called from the
+// orchestrating thread too, but decode ahead: with set_read_threads(n),
+// up to n - 1 helper threads decode the next networks (a window of 8n)
+// while the caller delivers, and the caller decodes a network itself when
+// no helper has claimed it yet. Decoding writes no vault state; the
+// callback runs on the calling thread, one network at a time, ascending
+// by network id, so every reader sees exactly the serial visit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,6 +73,9 @@ class FleetStore final : public backend::ReportSource {
   void set_mem_ceiling(std::uint64_t bytes) { mem_ceiling_bytes_ = bytes; }
   void set_spill_dir(std::string dir) { spill_dir_ = std::move(dir); }
   [[nodiscard]] std::uint64_t mem_ceiling() const { return mem_ceiling_bytes_; }
+  /// Threads that decode during a read, the calling thread included; 1
+  /// (the default) decodes one network, delivers it, then decodes the next.
+  void set_read_threads(int threads) { read_threads_ = std::max(threads, 1); }
 
   /// One sealed batch, ready to index: the segment bytes plus the header
   /// facts the vault keeps beside them.
@@ -119,7 +131,9 @@ class FleetStore final : public backend::ReportSource {
 
   [[nodiscard]] const FleetStoreStats& stats() const { return stats_; }
   /// First read-path failure, if any: ReportSource visitors cannot return
-  /// errors, so decode failures latch here and visit nothing further.
+  /// errors, so the first network (ascending id) that fails to decode
+  /// latches its error here; every network before it is delivered, none
+  /// after it.
   [[nodiscard]] const Error& last_error() const { return last_error_; }
 
   // backend::ReportSource
@@ -153,10 +167,14 @@ class FleetStore final : public backend::ReportSource {
 
   [[nodiscard]] Error load_segment(const Segment& seg, std::vector<std::uint8_t>& out) const;
   /// Decodes one network's segments into a scratch row store (canonical
-  /// order within the network). Latches + reports false on failure.
-  [[nodiscard]] bool materialize(const Network& net, backend::ReportStore& out) const;
+  /// order within the network). Touches no vault state: safe on any thread.
+  [[nodiscard]] Error materialize(const Network& net, backend::ReportStore& out) const;
+  /// Materializes every network, ascending by id, and hands each scratch
+  /// store to `deliver` on the calling thread (see Threading above).
+  void visit(const std::function<void(const backend::ReportStore&)>& deliver) const;
 
   std::uint64_t mem_ceiling_bytes_ = 0;
+  int read_threads_ = 1;
   std::string spill_dir_ = ".";
   std::uint64_t next_spill_seq_ = 0;
   std::vector<Segment> segments_;
