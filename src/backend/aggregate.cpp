@@ -1,5 +1,6 @@
 #include "backend/aggregate.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace wlm::backend {
@@ -122,20 +123,21 @@ std::unordered_map<classify::AppId, UsageAggregator::AppRollup> UsageAggregator:
 }
 
 std::vector<UsageAggregator::AppRollup> UsageAggregator::by_category() const {
+  static_assert(classify::kCategoryCount <= 32, "one bit per category in a client's mask");
   std::vector<AppRollup> out(static_cast<std::size_t>(classify::kCategoryCount));
-  // Track distinct clients per category, not the sum of app client counts.
-  std::vector<std::unordered_map<std::uint64_t, bool>> seen(
-      static_cast<std::size_t>(classify::kCategoryCount));
   for (const auto& [mac, agg] : clients_) {
+    // A client counts once per category it used, not once per app: the
+    // mask collects its categories, then each set bit counts it.
+    std::uint32_t used = 0;
     for (const auto& [app, bytes] : agg.app_bytes) {
-      const auto cat = static_cast<std::size_t>(classify::app_info(app).category);
+      const auto cat = static_cast<unsigned>(classify::app_info(app).category);
       out[cat].up += bytes.first;
       out[cat].down += bytes.second;
-      seen[cat][mac.to_u64()] = true;
+      used |= 1U << cat;
     }
-  }
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    out[c].clients = seen[c].size();
+    for (; used != 0; used &= used - 1) {
+      ++out[static_cast<std::size_t>(std::countr_zero(used))].clients;
+    }
   }
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include "core/rng.hpp"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 namespace wlm::backend {
@@ -127,6 +129,60 @@ TEST(Aggregate, CategoryClientsAreDistinct) {
   const auto cats = agg.by_category();
   EXPECT_EQ(cats[static_cast<std::size_t>(classify::Category::kVideoMusic)].clients, 1u);
   EXPECT_EQ(cats[static_cast<std::size_t>(classify::Category::kVideoMusic)].down, 20u);
+}
+
+TEST(Aggregate, CategoryClientsMatchABruteForceDistinctCount) {
+  // Client 1: two video apps (one category). Client 2: apps across four
+  // categories, one of them twice. Client 3: snapshots only, no usage rows.
+  // Plus a crowd of random clients.
+  ReportStore store;
+  store.add(usage_report(1, MacAddress::from_u64(1), AppId::kYouTube, 1, 2));
+  store.add(usage_report(1, MacAddress::from_u64(1), AppId::kNetflix, 3, 4));
+  for (const AppId app : {AppId::kFacebook, AppId::kInstagram, AppId::kGmail, AppId::kDropbox,
+                          AppId::kSpotify}) {
+    store.add(usage_report(2, MacAddress::from_u64(2), app, 5, 6));
+  }
+  wire::ApReport snap_only;
+  snap_only.ap_id = 3;
+  snap_only.timestamp_us = 1;
+  snap_only.clients.push_back(wire::ClientSnapshot{});
+  snap_only.clients.back().client = MacAddress::from_u64(3);
+  store.add(snap_only);
+  Rng rng(11);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    store.add(usage_report(4 + i % 5, MacAddress::from_u64(100 + rng.next_u64() % 40),
+                           static_cast<AppId>(1 + rng.next_u64() % 44), rng.next_u64() % 100,
+                           rng.next_u64() % 1000));
+  }
+  UsageAggregator agg;
+  agg.consume(store, SimTime::epoch(), SimTime::from_micros(10));
+  ASSERT_EQ(agg.client_count(), 43u);
+
+  std::vector<std::set<std::uint64_t>> distinct(
+      static_cast<std::size_t>(classify::kCategoryCount));
+  std::vector<std::uint64_t> up(distinct.size()), down(distinct.size());
+  for (const auto& [mac, client] : agg.clients()) {
+    for (const auto& [app, bytes] : client.app_bytes) {
+      const auto cat = static_cast<std::size_t>(classify::app_info(app).category);
+      distinct[cat].insert(mac.to_u64());
+      up[cat] += bytes.first;
+      down[cat] += bytes.second;
+    }
+  }
+  const auto cats = agg.by_category();
+  ASSERT_EQ(cats.size(), distinct.size());
+  for (std::size_t c = 0; c < cats.size(); ++c) {
+    EXPECT_EQ(cats[c].clients, distinct[c].size()) << classify::category_name(
+        static_cast<classify::Category>(c));
+    EXPECT_EQ(cats[c].up, up[c]);
+    EXPECT_EQ(cats[c].down, down[c]);
+  }
+  const auto video = static_cast<std::size_t>(classify::Category::kVideoMusic);
+  EXPECT_TRUE(distinct[video].count(1));
+  std::size_t client2_categories = 0;
+  for (const auto& d : distinct) client2_categories += d.count(2);
+  EXPECT_EQ(client2_categories, 4u);
+  for (const auto& d : distinct) EXPECT_EQ(d.count(3), 0u);
 }
 
 }  // namespace
