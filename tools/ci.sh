@@ -373,6 +373,23 @@ EOF
     exit 1
   }
   echo "fullscale smoke: spill occurred, spilled output byte-identical to resident"
+
+  # The read side of the spill: Table 3 decodes every spilled segment back,
+  # serially at --jobs 1 and ahead on the workers at --jobs 4. Both must
+  # print the same bytes.
+  for jobs in 1 4; do
+    ./build/tools/wlmctl report table3 --networks 12 --seed 11 --jobs "${jobs}" \
+      --mem-ceiling-mb 1 --spill-dir "${dir}/read-j${jobs}" > "${dir}/table3-j${jobs}.out"
+    compgen -G "${dir}/read-j${jobs}/tsdb_spill_*.ckpt" > /dev/null || {
+      echo "fullscale smoke: table3 at --jobs ${jobs} never spilled" >&2
+      exit 1
+    }
+  done
+  cmp "${dir}/table3-j1.out" "${dir}/table3-j4.out" || {
+    echo "fullscale smoke: spilled table3 differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+  echo "fullscale smoke: spilled table3 byte-identical at --jobs 1 and 4"
 }
 fullscale_smoke
 
