@@ -171,6 +171,15 @@ LinkRun run_link_study(const ScenarioScale& scale) {
   // Figures 4/5: week-long series for two intermediate links per band.
   auto pick_series = [&](phy::Band band, std::vector<LinkRun::Series>& out) {
     std::size_t found = 0;
+    auto take = [&](std::size_t i) {
+      LinkRun::Series s;
+      for (const auto& pt : world.link_week_series(i, Duration::minutes(30))) {
+        s.hours.push_back(pt.hour_of_week);
+        s.ratios.push_back(pt.ratio);
+      }
+      out.push_back(std::move(s));
+      ++found;
+    };
     for (std::size_t i = 0; i < world.mesh_links().size() && found < 2; ++i) {
       auto& link = world.mesh_links()[i];
       if (link.band() != band) continue;
@@ -179,27 +188,11 @@ LinkRun run_link_study(const ScenarioScale& scale) {
       probe_model.receiver_utilization = 0.2;
       const double p = link.delivery_probability(probe_model);
       if (p < 0.25 || p > 0.85) continue;
-      const auto series = world.link_week_series(i, Duration::minutes(30));
-      LinkRun::Series s;
-      for (const auto& pt : series) {
-        s.hours.push_back(pt.hour_of_week);
-        s.ratios.push_back(pt.ratio);
-      }
-      out.push_back(std::move(s));
-      ++found;
+      take(i);
     }
     // Fall back to any link of the band if nothing intermediate exists.
     for (std::size_t i = 0; i < world.mesh_links().size() && found < 2; ++i) {
-      auto& link = world.mesh_links()[i];
-      if (link.band() != band) continue;
-      const auto series = world.link_week_series(i, Duration::minutes(30));
-      LinkRun::Series s;
-      for (const auto& pt : series) {
-        s.hours.push_back(pt.hour_of_week);
-        s.ratios.push_back(pt.ratio);
-      }
-      out.push_back(std::move(s));
-      ++found;
+      if (world.mesh_links()[i].band() == band) take(i);
     }
   };
   pick_series(phy::Band::k2_4GHz, run.series_24);

@@ -26,17 +26,15 @@ std::vector<HealthFinding> HealthMonitor::analyze(const ReportSource& store,
                                                   SimTime now) const {
   std::vector<HealthFinding> findings;
   const double interval_us = static_cast<double>(policy_.expected_interval.as_micros());
-  store.for_each_ap([&](ApId ap, const std::vector<wire::ApReport>& reports) {
-    if (reports.empty()) return;
-
+  // One AP's report timestamps and its largest neighbor table, folded from
+  // the stream. The ReportSource contract keeps an AP's reports contiguous,
+  // so an AP is complete when the next one's first report arrives.
+  ApId ap;
+  std::vector<std::int64_t> times;
+  std::size_t max_neighbors = 0;
+  const auto judge_ap = [&] {
+    if (times.empty()) return;
     // Reports arrive in poll order; evaluate by timestamp.
-    std::vector<std::int64_t> times;
-    times.reserve(reports.size());
-    std::size_t max_neighbors = 0;
-    for (const auto& r : reports) {
-      times.push_back(r.timestamp_us);
-      max_neighbors = std::max(max_neighbors, r.neighbors.size());
-    }
     std::sort(times.begin(), times.end());
 
     const double silence = static_cast<double>(now.as_micros() - times.back());
@@ -66,7 +64,18 @@ std::vector<HealthFinding> HealthMonitor::analyze(const ReportSource& store,
                     max_neighbors, policy_.neighbor_pressure_threshold);
       findings.push_back(HealthFinding{ap, HealthIssue::kNeighborPressure, buf});
     }
+    times.clear();
+    max_neighbors = 0;
+  };
+  store.for_each([&](const wire::ApReport& r) {
+    if (r.ap_id != ap.value()) {
+      judge_ap();
+      ap = ApId{r.ap_id};
+    }
+    times.push_back(r.timestamp_us);
+    max_neighbors = std::max(max_neighbors, r.neighbors.size());
   });
+  judge_ap();
   return findings;
 }
 

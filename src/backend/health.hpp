@@ -46,9 +46,9 @@ class HealthMonitor {
  public:
   explicit HealthMonitor(HealthPolicy policy = HealthPolicy{}) : policy_(policy) {}
 
-  /// Analyzes every AP's reports in the store as of `now`. Reads through
-  /// the ReportSource per-AP visitor, so row and columnar stores feed it
-  /// interchangeably.
+  /// Analyzes every AP's reports in the store as of `now`. Reads the
+  /// ReportSource stream once, folding each AP's contiguous run of reports,
+  /// so row and columnar stores feed it interchangeably.
   [[nodiscard]] std::vector<HealthFinding> analyze(const ReportSource& store,
                                                    SimTime now) const;
 

@@ -1,12 +1,15 @@
 // Read-side abstraction over harvested telemetry.
 //
 // Analyses, the usage aggregator, and the health monitor consume reports
-// through this interface so the storage behind it can be either the
-// in-memory row store (backend::ReportStore) or the columnar segment store
-// (tsdb::FleetStore) without the readers knowing. Every implementation
-// visits reports in the canonical order — ascending AP id, per-AP arrival
-// order — which is what makes renders bit-identical across storage
-// backends and --jobs values.
+// through this interface. Harvested reports live in the columnar segment
+// vault (tsdb::FleetStore); a shard's drained-but-unsealed batch, and test
+// copies of a harvested fleet, live in the row store (backend::ReportStore).
+// Readers cannot tell the two apart. Every implementation visits reports
+// in the canonical order — ascending AP id, per-AP arrival order — which
+// is what makes renders bit-identical across stores and --jobs values. It
+// also means one AP's reports are contiguous in the stream, so a reader
+// that needs a per-AP view folds the stream and closes an AP when the next
+// one's first report arrives (backend::HealthMonitor does).
 //
 // Callbacks run on the thread that called the visit, one at a time, never
 // concurrently — even when the source decodes on helper threads behind the
@@ -16,9 +19,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
-#include "core/ids.hpp"
 #include "core/time.hpp"
 #include "wire/messages.hpp"
 
@@ -36,12 +37,6 @@ class ReportSource {
   virtual void for_each(const std::function<void(const wire::ApReport&)>& fn) const = 0;
   virtual void for_each_in(SimTime from, SimTime to,
                            const std::function<void(const wire::ApReport&)>& fn) const = 0;
-
-  /// Visits each AP's report batch, ascending by AP id. The vector is only
-  /// valid for the duration of the call — columnar sources materialize one
-  /// network at a time and recycle the buffer.
-  virtual void for_each_ap(
-      const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn) const = 0;
 };
 
 }  // namespace wlm::backend

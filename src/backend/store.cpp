@@ -31,11 +31,6 @@ void ReportStore::for_each_in(SimTime from, SimTime to,
   }
 }
 
-void ReportStore::for_each_ap(
-    const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn) const {
-  for (const ApId ap : aps()) fn(ap, by_ap_.at(ap));
-}
-
 std::vector<ApId> ReportStore::aps() const {
   std::vector<ApId> out;
   out.reserve(by_ap_.size());

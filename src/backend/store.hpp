@@ -34,8 +34,6 @@ class ReportStore final : public ReportSource {
   void for_each(const std::function<void(const wire::ApReport&)>& fn) const override;
   void for_each_in(SimTime from, SimTime to,
                    const std::function<void(const wire::ApReport&)>& fn) const override;
-  void for_each_ap(const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn)
-      const override;
 
   [[nodiscard]] std::vector<ApId> aps() const;
 

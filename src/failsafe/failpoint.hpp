@@ -77,12 +77,12 @@ struct FailpointSpec {
   bool operator==(const FailpointSpec&) const = default;
 };
 
-/// The process-global registry of armed failpoints. Like FleetRunner's
-/// campaign phase hook, this is injection configuration, not world state:
-/// it is never serialized into checkpoints, and tests arm/disarm it around
-/// each scenario. Evaluation takes a mutex — sites sit on per-phase and
-/// per-report-period boundaries, never in per-frame loops, and the armed()
-/// fast path keeps unarmed processes lock-free.
+/// The process-global registry of armed failpoints. This is injection
+/// configuration, not world state: it is never serialized into checkpoints,
+/// and tests arm/disarm it around each scenario. Evaluation takes a mutex —
+/// sites sit on per-phase and per-report-period boundaries, never in
+/// per-frame loops, and the armed() fast path keeps unarmed processes
+/// lock-free.
 class FailpointRegistry {
  public:
   void arm(FailpointSpec spec);

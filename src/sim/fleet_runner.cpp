@@ -135,6 +135,13 @@ void FleetRunner::seal_all(const std::vector<bool>& keep) {
                                        std::move(shards_[i]->store()));
   });
   for (auto& batch : sealed) fleet_tsdb_.add_sealed(std::move(batch));
+  if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
+    // An unwritable spill dir is an I/O problem, not a simulation problem:
+    // segments stay resident (correct, just over budget) and the operator
+    // hears about it once per failing phase.
+    std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",
+                 tsdb::status_name(err.status), err.detail.c_str());
+  }
 }
 
 void FleetRunner::incremental_harvest() {
@@ -149,13 +156,6 @@ void FleetRunner::incremental_harvest() {
   std::vector<bool> keep(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) keep[i] = !supervisor_.quarantined(i);
   seal_all(keep);
-  if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
-    // An unwritable spill dir is an I/O problem, not a simulation problem:
-    // segments stay resident (correct, just over budget) and the operator
-    // hears about it once per failing phase.
-    std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",
-                 tsdb::status_name(err.status), err.detail.c_str());
-  }
   telemetry::global_profiler().record("incremental_harvest", watch.seconds());
 }
 
@@ -228,12 +228,6 @@ void FleetRunner::harvest(HarvestMode mode) {
     if (!keep[i]) fleet_tsdb_.drop_network(shards_[i]->id().value());
   }
   seal_all(keep);
-  if (config_.mem_ceiling_mb > 0) {
-    if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
-      std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",
-                   tsdb::status_name(err.status), err.detail.c_str());
-    }
-  }
 
   // Rebuild the merged telemetry from scratch each harvest: shard registries
   // and recorders are cumulative, so re-merging (not appending) keeps a

@@ -33,6 +33,17 @@ double effective_rate_mbps(phy::Band band) {
 
 std::uint8_t band_code(phy::Band band) { return band == phy::Band::k5GHz ? 1 : 0; }
 
+/// Row i of an AP's client table as a report carries it.
+wire::ClientSnapshot client_snapshot(const ClientColumns& cols, std::size_t i) {
+  wire::ClientSnapshot snap;
+  snap.client = cols.devices()[i].mac;
+  snap.capability_bits = cols.devices()[i].caps.bits;
+  snap.band = band_code(cols.bands()[i]);
+  snap.rssi_dbm = cols.rssi_at_ap_dbm()[i];
+  snap.os_id = static_cast<std::uint8_t>(cols.detected_os()[i]);
+  return snap;
+}
+
 }  // namespace
 
 double serving_utilization(const ApRuntime& ap, phy::Band band, double hour) {
@@ -133,19 +144,7 @@ void NetworkShard::build_clients() {
     const phy::Position pos{rng_.uniform(0.0, net_->site.width_m),
                             rng_.uniform(0.0, net_->site.height_m)};
     std::vector<mac::BssCandidate> candidates;
-    for (ApRuntime& ap : aps_) {
-      const double d = phy::distance_m(pos, ap.config().position);
-      const int walls = static_cast<int>(d / 10.0 * net_->site.walls_per_10m);
-      const double rx24 = ap.config().tx_power_24_dbm + 3.0 -
-                          pathloss_.median_loss_db(d, FrequencyMhz{2437.0}, walls) +
-                          rng_.normal(0.0, 3.0);
-      candidates.push_back(mac::BssCandidate{ap.id(), phy::Band::k2_4GHz, PowerDbm{rx24}});
-      // 5 GHz: more free-space loss and worse wall penetration.
-      const double rx5 = ap.config().tx_power_5_dbm + 5.0 -
-                         pathloss_.median_loss_db(d, FrequencyMhz{5250.0}, walls) -
-                         static_cast<double>(walls) * 2.0 + rng_.normal(0.0, 3.0);
-      candidates.push_back(mac::BssCandidate{ap.id(), phy::Band::k5GHz, PowerDbm{rx5}});
-    }
+    bss_candidates(pos, rng_, candidates);
     const auto result = mac::select_bss(candidates, device.caps.dual_band(), policy, rng_);
     if (!result) continue;  // out of coverage
 
@@ -304,20 +303,14 @@ void NetworkShard::enqueue_report(ApRuntime& ap, wire::ApReport& report) {
     }
     return;
   }
-  if (!injector_.enabled()) {
-    auto frame = backend::frame_report(report);
-    record_enqueue(ap, report.timestamp_us, frame.size());
-    ap.tunnel().enqueue(std::move(frame));
-    if (mesh_on) record_mesh_hops(0, 0);
-    return;
-  }
-  // The injector advances this AP's fault clock to the report's timestamp
-  // (outages and reboots fire here, in time order), inflates skyscraper scan
-  // tables, raises OOM reboots, and maybe corrupts the frame on the wire.
-  const std::size_t idx = ap_index_[ap.id().value()];
-  injector_.on_report(idx, report, ap.tunnel(), fault_rng_);
+  // With faults on, the injector advances this AP's fault clock to the
+  // report's timestamp (outages and reboots fire here, in time order),
+  // inflates skyscraper scan tables, raises OOM reboots, and maybe corrupts
+  // the frame on the wire.
+  const bool faults_on = injector_.enabled();
+  if (faults_on) injector_.on_report(ap_index_[ap.id().value()], report, ap.tunnel(), fault_rng_);
   auto frame = backend::frame_report(report);
-  injector_.on_frame(frame, fault_rng_);
+  if (faults_on) injector_.on_frame(frame, fault_rng_);
   record_enqueue(ap, report.timestamp_us, frame.size());
   ap.tunnel().enqueue(std::move(frame));
   if (mesh_on) record_mesh_hops(0, 0);
@@ -455,21 +448,20 @@ std::vector<wire::NeighborBss> NetworkShard::neighbor_records(const ApRuntime& a
   return out;
 }
 
-void NetworkShard::mobility_candidates(const phy::Position& pos,
-                                       std::vector<mac::BssCandidate>& out) {
-  // Same propagation math as build_clients; only the shadowing draws differ
-  // (they come from the mobility substream, never the campaign stream).
+void NetworkShard::bss_candidates(const phy::Position& pos, Rng& rng,
+                                  std::vector<mac::BssCandidate>& out) const {
   out.clear();
-  for (ApRuntime& ap : aps_) {
+  for (const ApRuntime& ap : aps_) {
     const double d = phy::distance_m(pos, ap.config().position);
     const int walls = static_cast<int>(d / 10.0 * net_->site.walls_per_10m);
     const double rx24 = ap.config().tx_power_24_dbm + 3.0 -
                         pathloss_.median_loss_db(d, FrequencyMhz{2437.0}, walls) +
-                        mobility_rng_.normal(0.0, 3.0);
+                        rng.normal(0.0, 3.0);
     out.push_back(mac::BssCandidate{ap.id(), phy::Band::k2_4GHz, PowerDbm{rx24}});
+    // 5 GHz: more free-space loss and worse wall penetration.
     const double rx5 = ap.config().tx_power_5_dbm + 5.0 -
                        pathloss_.median_loss_db(d, FrequencyMhz{5250.0}, walls) -
-                       static_cast<double>(walls) * 2.0 + mobility_rng_.normal(0.0, 3.0);
+                       static_cast<double>(walls) * 2.0 + rng.normal(0.0, 3.0);
     out.push_back(mac::BssCandidate{ap.id(), phy::Band::k5GHz, PowerDbm{rx5}});
   }
 }
@@ -505,7 +497,7 @@ std::uint32_t NetworkShard::walk_client_week(MobileClient& entry,
     ++stats.active_steps;
     mobility::advance(entry.motion, dt_s, mc, net_->site.width_m, net_->site.height_m,
                       mobility_rng_);
-    mobility_candidates(entry.motion.pos, scan_scratch);
+    bss_candidates(entry.motion.pos, mobility_rng_, scan_scratch);
     // Candidates are pushed 2.4 GHz then 5 GHz per AP, in aps_ order.
     const mac::BssCandidate& serving =
         scan_scratch[entry.serving_ap * 2 + (entry.serving_band == phy::Band::k5GHz ? 1 : 0)];
@@ -665,9 +657,7 @@ void NetworkShard::run_usage_week(int reports_per_week,
       for (const auto& flow : week.flows) {
         // The AP observes the flow `fragments` times. The first observation
         // takes the slow path (parse + rule match) and pins the verdict; the
-        // rest are attributed from the cache — or reparsed end to end in
-        // reference mode, which is exactly the contrast bench_perf_micro
-        // measures. Verdicts are identical either way.
+        // rest are attributed from the verdict cache.
         const classify::FlowKey key{device.mac.to_u64(), home.id().value(),
                                     flow.dst_host, flow.src_port, flow.sample.dst_port,
                                     flow.sample.transport == classify::Transport::kUdp
@@ -782,26 +772,13 @@ void NetworkShard::run_usage_week(int reports_per_week,
         report.usage.push_back(usage);
       }
       const auto& cols = ap.clients();
-      const auto devices = cols.devices();
-      const auto bands = cols.bands();
-      const auto rssi = cols.rssi_at_ap_dbm();
-      const auto detected = cols.detected_os();
       report.clients.reserve(cols.size());
       for (std::size_t i = 0; i < cols.size(); ++i) {
-        wire::ClientSnapshot snap;
-        snap.client = devices[i].mac;
-        snap.capability_bits = devices[i].caps.bits;
-        snap.band = band_code(bands[i]);
-        snap.rssi_dbm = rssi[i];
-        snap.os_id = static_cast<std::uint8_t>(detected[i]);
-        report.clients.push_back(snap);
+        report.clients.push_back(client_snapshot(cols, i));
       }
       enqueue_report(ap, report);
     }
-    if (injector_.enabled()) {
-      poller_.set_now(t_us);
-      poller_.poll_all(64);
-    }
+    poll_mid_campaign(t_us);
   }
   }  // row columns die here ...
   arena_.reset();  // ... so the arena can recycle their memory wholesale
@@ -819,26 +796,13 @@ void NetworkShard::snapshot_clients(SimTime t) {
     wire::ApReport report;
     report.timestamp_us = t.as_micros();
     const auto& cols = ap.clients();
-    const auto devices = cols.devices();
-    const auto bands = cols.bands();
-    const auto rssi = cols.rssi_at_ap_dbm();
-    const auto detected = cols.detected_os();
     for (std::size_t i = 0; i < cols.size(); ++i) {
       if (!rng_.chance(presence)) continue;
-      wire::ClientSnapshot snap;
-      snap.client = devices[i].mac;
-      snap.capability_bits = devices[i].caps.bits;
-      snap.band = band_code(bands[i]);
-      snap.rssi_dbm = rssi[i];
-      snap.os_id = static_cast<std::uint8_t>(detected[i]);
-      report.clients.push_back(snap);
+      report.clients.push_back(client_snapshot(cols, i));
     }
     enqueue_report(ap, report);
   }
-  if (injector_.enabled()) {
-    poller_.set_now(t.as_micros());
-    poller_.poll_all(64);
-  }
+  poll_mid_campaign(t.as_micros());
 }
 
 void NetworkShard::run_mr16_interference(SimTime t) {
@@ -869,10 +833,7 @@ void NetworkShard::run_mr16_interference(SimTime t) {
     report.neighbors = neighbor_records(ap);
     enqueue_report(ap, report);
   }
-  if (injector_.enabled()) {
-    poller_.set_now(t.as_micros());
-    poller_.poll_all(64);
-  }
+  poll_mid_campaign(t.as_micros());
 }
 
 void NetworkShard::run_mr18_scan(SimTime t, double hour) {
@@ -897,10 +858,7 @@ void NetworkShard::run_mr18_scan(SimTime t, double hour) {
     report.neighbors = neighbor_records(ap);
     enqueue_report(ap, report);
   }
-  if (injector_.enabled()) {
-    poller_.set_now(t.as_micros());
-    poller_.poll_all(64);
-  }
+  poll_mid_campaign(t.as_micros());
 }
 
 void NetworkShard::run_link_windows(SimTime t) {
@@ -927,15 +885,17 @@ void NetworkShard::run_link_windows(SimTime t) {
     report.links.push_back(rec);
     enqueue_report(receiver, report);
   }
-  if (injector_.enabled()) {
-    poller_.set_now(t.as_micros());
-    poller_.poll_all(64);
-  }
+  poll_mid_campaign(t.as_micros());
+}
+
+void NetworkShard::poll_mid_campaign(std::int64_t now_us) {
+  if (!injector_.enabled()) return;
+  poller_.set_now(now_us);
+  poller_.poll_all(64);
 }
 
 void NetworkShard::harvest_local(HarvestMode mode) {
   const std::int64_t horizon_us = fault::FaultPlan::horizon().as_micros();
-  poller_.set_now(horizon_us);
   const std::uint64_t stored_before = poller_.stats().reports_stored;
   if (injector_.enabled()) {
     // Drive every AP's fault schedule to the horizon first; kFinal then
@@ -947,20 +907,7 @@ void NetworkShard::harvest_local(HarvestMode mode) {
   } else {
     for (auto& ap : aps_) ap.tunnel().reconnect();
   }
-  // Pull-based with a per-cycle budget: loop until every reachable tunnel
-  // drained. Backoff is overridden — the final harvest pulls quarantined
-  // devices too, so nothing recoverable is stranded by the retry policy.
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    bool any = false;
-    for (const auto& ap : aps_) {
-      if (ap.tunnel().connected() && ap.tunnel().queued() > 0) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) break;
-    poller_.poll_all(64, /*ignore_backoff=*/true);
-  }
+  drain_connected(horizon_us);
   recorder_.record({telemetry::SpanKind::kHarvest, net_->id.value(), horizon_us,
                     horizon_us, poller_.stats().reports_stored - stored_before});
   publish_telemetry();
@@ -968,10 +915,11 @@ void NetworkShard::harvest_local(HarvestMode mode) {
 
 void NetworkShard::drain_connected(std::int64_t now_us) {
   poller_.set_now(now_us);
-  // Same bounded pull loop as harvest_local, minus the reconnect and the
-  // fault-plan fast-forward: only tunnels that are up right now drain, and
-  // an AP mid-outage keeps queueing (§2: the backend polls queued data when
-  // the connection is reestablished).
+  // Pull-based with a per-cycle budget: loop until every reachable tunnel
+  // drained. Backoff is overridden, so quarantined devices are pulled too
+  // and nothing recoverable is stranded by the retry policy. Only tunnels
+  // that are up right now drain; an AP mid-outage keeps queueing (§2: the
+  // backend polls queued data when the connection is reestablished).
   for (int cycle = 0; cycle < 1000; ++cycle) {
     bool any = false;
     for (const auto& ap : aps_) {

@@ -209,10 +209,10 @@ class NetworkShard {
   /// still-open outage offline, backlog in flight.
   void harvest_local(HarvestMode mode = HarvestMode::kFinal);
 
-  /// Incremental-harvest drain: pulls whatever the connected tunnels have
-  /// queued at `now_us` into the shard store, without touching fault
-  /// schedules (no injector on_harvest — that drives plans to the horizon
-  /// and belongs to the final harvest only), reconnecting anything, or
+  /// Bounded pull loop: pulls whatever the connected tunnels have queued at
+  /// `now_us` into the shard store, without touching fault schedules (no
+  /// injector on_harvest — that drives plans to the horizon and belongs to
+  /// harvest_local, which runs it first), reconnecting anything, or
   /// republishing telemetry. APs inside an outage keep their backlog in
   /// flight. Shard-confined, so phase-boundary drains on different shards
   /// parallelize like campaigns do.
@@ -283,10 +283,11 @@ class NetworkShard {
   std::uint32_t walk_client_week(MobileClient& entry, std::vector<std::size_t>& visited,
                                  std::vector<mac::BssCandidate>& scan_scratch,
                                  MobilityWeekStats& stats);
-  /// RSSI of every in-network BSS at `pos`, with walk shadowing drawn from
-  /// mobility_rng_. Same propagation math as build_clients.
-  void mobility_candidates(const phy::Position& pos,
-                           std::vector<mac::BssCandidate>& out);
+  /// RSSI of every in-network BSS at `pos` into `out`: 2.4 GHz then 5 GHz
+  /// per AP, in aps_ order, each with one shadowing draw from `rng` (the
+  /// campaign stream when placing clients, mobility_rng_ along a walk).
+  void bss_candidates(const phy::Position& pos, Rng& rng,
+                      std::vector<mac::BssCandidate>& out) const;
   /// Frames and queues one report. The report is read (and, with faults
   /// enabled, mutated by the injector) but never consumed, so callers can
   /// reuse one scratch report across calls. On a WAN-less AP the frame is
@@ -305,6 +306,10 @@ class NetworkShard {
   /// mesh_rng_, recomputes the routing table over the drifted link budget
   /// graph, and resets the relay queue horizons. No-op when mesh is off.
   void mesh_phase_begin();
+  /// End of a campaign step with faults on: the backend polls at `now_us`,
+  /// so a later reboot or outage shows as a reporting gap. Clean runs
+  /// deliver only at harvest and skip it.
+  void poll_mid_campaign(std::int64_t now_us);
   void record_enqueue(const ApRuntime& ap, std::int64_t t_us, std::size_t frame_bytes);
   /// Refreshes the ledger and shard gauges from current state (set, not
   /// add: calling it twice must not double-count).

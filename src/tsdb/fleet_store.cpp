@@ -312,9 +312,4 @@ void FleetStore::for_each_in(SimTime from, SimTime to,
   visit([&](const backend::ReportStore& scratch) { scratch.for_each_in(from, to, fn); });
 }
 
-void FleetStore::for_each_ap(
-    const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn) const {
-  visit([&fn](const backend::ReportStore& scratch) { scratch.for_each_ap(fn); });
-}
-
 }  // namespace wlm::tsdb

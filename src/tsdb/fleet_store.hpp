@@ -144,8 +144,6 @@ class FleetStore final : public backend::ReportSource {
   void for_each(const std::function<void(const wire::ApReport&)>& fn) const override;
   void for_each_in(SimTime from, SimTime to,
                    const std::function<void(const wire::ApReport&)>& fn) const override;
-  void for_each_ap(const std::function<void(ApId, const std::vector<wire::ApReport>&)>& fn)
-      const override;
 
  private:
   struct Segment {

@@ -15,7 +15,8 @@
 // compression comes from dropping the row format's per-field tags, delta
 // coding the sorted streams (AP ids, timestamps, channels), and dictionary
 // coding the two heavy repeated values (client/BSSID MACs, RSSI doubles).
-// Per-block min/max summaries let readers prune on time without decoding.
+// Per-block min/max summaries are validated against the decoded rows; no
+// reader prunes on them, because every analysis window covers the whole run.
 //
 // Like the checkpoint container, the reader is adversarial by construction:
 // truncations, flipped bits, bumped versions, and CRC-valid but internally

@@ -480,9 +480,8 @@ struct RawBlock {
   std::span<const std::uint8_t> payload;
 };
 
-/// Reads one block frame. `check_crc` is skipped on the summary-only paths
-/// (time_bounds), which never decode payload bytes.
-Error walk_block(Walk& w, RawBlock& b, bool check_crc) {
+/// Reads one block frame and checks its payload CRC.
+Error walk_block(Walk& w, RawBlock& b) {
   if (w.remaining() < 2 + kTrailerBytes) return {Status::kTruncated, "block header truncated"};
   b.id = static_cast<ColumnId>(w.bytes[w.pos]);
   b.encoding = static_cast<Encoding>(w.bytes[w.pos + 1]);
@@ -502,7 +501,7 @@ Error walk_block(Walk& w, RawBlock& b, bool check_crc) {
   w.pos += len;
   const std::uint32_t stored_crc = read_u32le(w.bytes.data() + w.pos);
   w.pos += 4;
-  if (check_crc && stored_crc != crc32(b.payload)) {
+  if (stored_crc != crc32(b.payload)) {
     return {Status::kBadCrc, "block payload failed its CRC"};
   }
   return {};
@@ -703,9 +702,8 @@ Error decode_block(const RawBlock& b, Parsed& out) {
     default:
       return {Status::kMalformed, "unknown column encoding"};
   }
-  // The min/max summary is load-bearing (time pruning reads it without
-  // decoding), so a summary that disagrees with the rows is tampering, not
-  // a tolerable cosmetic defect.
+  // The min/max summary is part of the format, so a summary that disagrees
+  // with the rows is tampering, not a tolerable cosmetic defect.
   if (out.ints.count(b.id) != 0 && any && (seen_min != b.min || seen_max != b.max)) {
     return {Status::kMalformed, "block summary disagrees with rows"};
   }
@@ -843,7 +841,7 @@ Error parse(std::span<const std::uint8_t> bytes, Parsed& out) {
   if (auto err = walk_header(w, out.hdr)) return err;
   for (std::uint64_t i = 0; i < out.hdr.n_blocks; ++i) {
     RawBlock b;
-    if (auto err = walk_block(w, b, /*check_crc=*/true)) return err;
+    if (auto err = walk_block(w, b)) return err;
     if (auto err = decode_block(b, out)) return err;
   }
   if (w.remaining() > kTrailerBytes) {
@@ -984,24 +982,6 @@ Error SegmentReader::for_each(std::span<const std::uint8_t> bytes,
   return {};
 }
 
-Error SegmentReader::time_bounds(std::span<const std::uint8_t> bytes, std::int64_t& lo,
-                                 std::int64_t& hi) {
-  Walk w{bytes};
-  SegmentHeader hdr;
-  if (auto err = walk_header(w, hdr)) return err;
-  for (std::uint64_t i = 0; i < hdr.n_blocks; ++i) {
-    RawBlock b;
-    if (auto err = walk_block(w, b, /*check_crc=*/false)) return err;
-    if (b.id == ColumnId::kTimestamp) {
-      lo = b.min;
-      hi = b.max;
-      return {};
-    }
-  }
-  if (hdr.n_reports > 0) return {Status::kBadCount, "timestamp column missing"};
-  return {};
-}
-
 Error SegmentReader::ap_ids(std::span<const std::uint8_t> bytes,
                             std::vector<std::uint32_t>& out) {
   Walk w{bytes};
@@ -1009,7 +989,7 @@ Error SegmentReader::ap_ids(std::span<const std::uint8_t> bytes,
   if (auto err = walk_header(w, hdr)) return err;
   for (std::uint64_t i = 0; i < hdr.n_blocks; ++i) {
     RawBlock b;
-    if (auto err = walk_block(w, b, /*check_crc=*/true)) return err;
+    if (auto err = walk_block(w, b)) return err;
     if (b.id != ColumnId::kApId) continue;
     Parsed p;
     p.hdr = hdr;

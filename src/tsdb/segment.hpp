@@ -113,11 +113,6 @@ class SegmentReader {
       std::span<const std::uint8_t> bytes,
       const std::function<void(wire::ApReport&&)>& fn);
 
-  /// Timestamp column min/max from the block summary, no payload decode.
-  /// `lo`/`hi` untouched when the segment holds no reports.
-  [[nodiscard]] static Error time_bounds(std::span<const std::uint8_t> bytes,
-                                         std::int64_t& lo, std::int64_t& hi);
-
   /// Distinct AP ids in the segment, ascending.
   [[nodiscard]] static Error ap_ids(std::span<const std::uint8_t> bytes,
                                     std::vector<std::uint32_t>& out);

@@ -10,9 +10,8 @@
 namespace wlm::failsafe {
 namespace {
 
-/// The registry is process-global (like FleetRunner's phase hook); every
-/// test scopes its arming with this RAII guard so no schedule leaks into
-/// the next test.
+/// The registry is process-global; every test scopes its arming with this
+/// RAII guard so no schedule leaks into the next test.
 struct ScopedDisarm {
   ScopedDisarm() { failpoints().disarm_all(); }
   ~ScopedDisarm() { failpoints().disarm_all(); }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -109,16 +110,18 @@ TEST(FleetStore, ForEachInMatchesRowStoreWindow) {
 }
 
 TEST(FleetStore, ForEachApVisitsAscendingBatches) {
+  // Each AP's reports form one run of the stream, runs ascending by AP id:
+  // the ReportSource contract per-AP readers fold on.
   const Fixture f = make_fixture();
-  std::vector<std::uint32_t> visited;
+  std::vector<std::uint32_t> runs;
   std::size_t reports = 0;
-  f.fleet.for_each_ap([&](ApId ap, const std::vector<wire::ApReport>& batch) {
-    visited.push_back(ap.value());
-    reports += batch.size();
-    for (const auto& r : batch) EXPECT_EQ(r.ap_id, ap.value());
+  f.fleet.for_each([&](const wire::ApReport& r) {
+    if (runs.empty() || runs.back() != r.ap_id) runs.push_back(r.ap_id);
+    ++reports;
   });
-  ASSERT_EQ(visited.size(), 9u);
-  EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
+  ASSERT_EQ(runs.size(), 9u);
+  EXPECT_TRUE(std::adjacent_find(runs.begin(), runs.end(), std::greater_equal<>()) ==
+              runs.end());
   EXPECT_EQ(reports, f.fleet.report_count());
 }
 
@@ -339,24 +342,6 @@ TEST(FleetStore, ReadStopsAtTheFirstBadNetworkInCanonicalOrder) {
       EXPECT_EQ(encode_all(got), encode_all(want));
       expect_network5_error(d);
     }
-    {
-      Damaged d;
-      make_damaged(d, "for_each_ap" + tag);
-      d.fleet.set_read_threads(threads);
-      std::vector<std::uint8_t> got, want;
-      d.fleet.for_each_ap([&](ApId, const std::vector<wire::ApReport>& batch) {
-        const auto b = encode_all(batch);
-        got.insert(got.end(), b.begin(), b.end());
-        got.push_back(0xFF);  // batch boundary
-      });
-      d.good.for_each_ap([&](ApId, const std::vector<wire::ApReport>& batch) {
-        const auto b = encode_all(batch);
-        want.insert(want.end(), b.begin(), b.end());
-        want.push_back(0xFF);
-      });
-      EXPECT_EQ(got, want);
-      expect_network5_error(d);
-    }
   }
 }
 
@@ -370,10 +355,6 @@ TEST(FleetStore, ReadAheadDeliversTheSerialVisit) {
     parallel.append_store(net, make_store(10 + 3 * net, 3, 2, net + 7));
   }
   EXPECT_EQ(flatten(parallel), flatten(serial));
-  std::vector<std::uint32_t> serial_aps, parallel_aps;
-  serial.for_each_ap([&](ApId ap, const auto&) { serial_aps.push_back(ap.value()); });
-  parallel.for_each_ap([&](ApId ap, const auto&) { parallel_aps.push_back(ap.value()); });
-  EXPECT_EQ(parallel_aps, serial_aps);
   EXPECT_FALSE(parallel.last_error());
 }
 

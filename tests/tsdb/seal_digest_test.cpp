@@ -11,7 +11,8 @@
 // spill files.
 //
 // A second CRC covers what the vault's readers see: the for_each stream,
-// a for_each_in window and the for_each_ap batch boundaries. The runner
+// a for_each_in window and each AP's report count, folded from the stream
+// the way a per-AP reader (backend::HealthMonitor) folds it. The runner
 // reads with as many threads as it simulates with, so the read digest is
 // pinned across jobs as well.
 #include <gtest/gtest.h>
@@ -73,10 +74,22 @@ std::uint32_t read_digest(const backend::ReportSource& source) {
   source.for_each_in(SimTime::epoch() + Duration::days(1), SimTime::epoch() + Duration::days(4),
                      add_report);
   add_u64(~0ULL);
-  source.for_each_ap([&](ApId ap, const std::vector<wire::ApReport>& batch) {
-    add_u64(ap.value());
-    add_u64(batch.size());
+  // One AP's reports are contiguous in the stream (ReportSource contract).
+  std::uint64_t ap = 0;
+  std::uint64_t count = 0;
+  source.for_each([&](const wire::ApReport& r) {
+    if (count > 0 && r.ap_id != ap) {
+      add_u64(ap);
+      add_u64(count);
+      count = 0;
+    }
+    ap = r.ap_id;
+    ++count;
   });
+  if (count > 0) {
+    add_u64(ap);
+    add_u64(count);
+  }
   return crc;
 }
 

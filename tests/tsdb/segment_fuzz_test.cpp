@@ -194,9 +194,6 @@ TEST(SegmentFuzz, BlockLenVarintNearU64MaxIsTruncatedNotOutOfBounds) {
                        /*rows=*/1, /*len=*/~std::uint64_t{0} - 7, {});
   append_trailer_crc(bytes);
   EXPECT_EQ(tsdb::SegmentReader::validate(bytes).status, tsdb::Status::kTruncated);
-  std::int64_t lo = 0, hi = 0;
-  EXPECT_EQ(tsdb::SegmentReader::time_bounds(bytes, lo, hi).status,
-            tsdb::Status::kTruncated);
 }
 
 TEST(SegmentFuzz, Fixed64RowsNearU64MaxIsBadCountNotOverflow) {

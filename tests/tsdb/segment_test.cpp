@@ -127,11 +127,6 @@ TEST(Segment, SummariesAnswerWithoutDecode) {
   const auto reports = make_batch(3, 3, 4);
   const auto bytes = seal_batch(reports);
 
-  std::int64_t lo = 0, hi = 0;
-  ASSERT_FALSE(tsdb::SegmentReader::time_bounds(bytes, lo, hi));
-  EXPECT_EQ(lo, 3'600'000'000LL);
-  EXPECT_EQ(hi, 4 * 3'600'000'000LL);
-
   std::vector<std::uint32_t> aps;
   ASSERT_FALSE(tsdb::SegmentReader::ap_ids(bytes, aps));
   EXPECT_EQ(aps, (std::vector<std::uint32_t>{100, 101, 102}));
@@ -169,10 +164,6 @@ TEST(Segment, EmptySegmentSealsAndValidates) {
   int visits = 0;
   ASSERT_FALSE(tsdb::SegmentReader::for_each(bytes, [&](wire::ApReport&&) { ++visits; }));
   EXPECT_EQ(visits, 0);
-  std::int64_t lo = -1, hi = -1;
-  ASSERT_FALSE(tsdb::SegmentReader::time_bounds(bytes, lo, hi));
-  EXPECT_EQ(lo, -1);  // untouched per contract
-  EXPECT_EQ(hi, -1);
 }
 
 TEST(Segment, ValidateAcceptsWhatForEachAccepts) {
