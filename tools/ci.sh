@@ -390,6 +390,28 @@ EOF
     exit 1
   }
   echo "fullscale smoke: spilled table3 byte-identical at --jobs 1 and 4"
+
+  # The health monitor folds the same read stream per AP: its week-end
+  # triage must print the same bytes resident and spilled, at --jobs 1
+  # and 4.
+  for jobs in 1 4; do
+    ./build/tools/wlmctl health --networks 12 --seed 11 --jobs "${jobs}" \
+      > "${dir}/health-resident-j${jobs}.out"
+    ./build/tools/wlmctl health --networks 12 --seed 11 --jobs "${jobs}" \
+      --mem-ceiling-mb 1 --spill-dir "${dir}/health-j${jobs}" \
+      > "${dir}/health-spilled-j${jobs}.out"
+    compgen -G "${dir}/health-j${jobs}/tsdb_spill_*.ckpt" > /dev/null || {
+      echo "fullscale smoke: health at --jobs ${jobs} never spilled" >&2
+      exit 1
+    }
+  done
+  for run in resident-j4 spilled-j1 spilled-j4; do
+    cmp "${dir}/health-resident-j1.out" "${dir}/health-${run}.out" || {
+      echo "fullscale smoke: health ${run} differs from resident --jobs 1" >&2
+      exit 1
+    }
+  done
+  echo "fullscale smoke: health byte-identical resident and spilled, --jobs 1 and 4"
 }
 fullscale_smoke
 
@@ -532,7 +554,6 @@ wlm::phy::ChannelPlan::non_overlapping_2_4             tests check the channel p
 wlm::traffic::SessionModel::sample_week                empirical oracle for presence_probability
 wlm::classify::oui_registry                            its sorted-table test guards the binary search
 wlm::traffic::parse_pcap_lengths                       reads PcapWriter output back in tests
-wlm::tsdb::SegmentReader::time_bounds                  ROADMAP item 1's segment skipping is to use it
 KEEP
 )"
   if ! awk 'NF < 2 { exit 1 }' <<< "${keep}"; then
