@@ -132,5 +132,48 @@ TEST(MediumObserver, DutyClamped) {
   EXPECT_NEAR(c.utilization(), 1.0, 1e-9);
 }
 
+TEST(MediumObserver, SampledSkipsUnsensedSourcesWithoutDrawing) {
+  // The MR18 scanner drops a channel's unsensed sources once per scan and
+  // samples every dwell over what is left. That is only the same scan if an
+  // unsensed source costs a dwell no draw: the full list and the sensed
+  // list must give the same counters and leave the generator in one state.
+  const MediumObserver obs(phy::noise_floor(20.0));
+  ActivitySource bursty = wifi_source(-72.0, 0.2, 0.6);
+  bursty.window_active_prob = 0.3;
+  ActivitySource corrupt = wifi_source(-60.0, 0.15);
+  corrupt.kind = SourceKind::kWifiCorrupt;
+  ActivitySource microwave;
+  microwave.kind = SourceKind::kNonWifi;
+  microwave.rx_power = PowerDbm{-55.0};
+  microwave.duty_cycle = 0.4;
+  microwave.window_active_prob = 0.5;
+  ActivitySource faint_bt = microwave;  // non-WiFi under energy detect
+  faint_bt.rx_power = PowerDbm{-80.0};
+  const std::vector<ActivitySource> sensed{wifi_source(-70.0, 0.3, 0.8), bursty, corrupt,
+                                           microwave};
+  const std::vector<ActivitySource> mixed{
+      wifi_source(-90.0, 0.9),  // under the preamble threshold
+      sensed[0],
+      faint_bt,
+      bursty,
+      wifi_source(-99.0, 1.0),  // under the noise floor
+      corrupt,
+      microwave,
+      wifi_source(-85.0, 0.5, 0.1),
+  };
+  for (const auto& s : sensed) ASSERT_TRUE(obs.senses(s));
+  Rng a(2015);
+  Rng b(2015);
+  for (int dwell = 0; dwell < 200; ++dwell) {
+    const auto from_sensed = obs.observe_sampled(Duration::millis(5), sensed, a);
+    const auto from_mixed = obs.observe_sampled(Duration::millis(5), mixed, b);
+    ASSERT_EQ(from_sensed.cycle_us, from_mixed.cycle_us) << "dwell " << dwell;
+    ASSERT_EQ(from_sensed.busy_us, from_mixed.busy_us) << "dwell " << dwell;
+    ASSERT_EQ(from_sensed.rx_frame_us, from_mixed.rx_frame_us) << "dwell " << dwell;
+    ASSERT_EQ(from_sensed.tx_us, from_mixed.tx_us) << "dwell " << dwell;
+    ASSERT_TRUE(a.state() == b.state()) << "dwell " << dwell;
+  }
+}
+
 }  // namespace
 }  // namespace wlm::mac

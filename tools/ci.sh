@@ -26,11 +26,18 @@ run_suite() {
 
 run_suite build ""
 
-# Examples: each drives the public API end to end and must exit 0 (set -e
-# stops the run on the first one that does not).
+# Examples: each drives the public API end to end, must exit 0 (set -e
+# stops the run on the first one that does not), and must print exactly its
+# golden, tests/golden/examples/<name>.golden. site_survey runs the MR18
+# scanner and link_monitor the link probes, so their goldens pin those
+# paths' outputs too.
 for example in quickstart site_survey traffic_audit link_monitor fleet_health; do
   echo "=== example ${example} ==="
-  ./build/examples/"${example}" > /dev/null
+  ./build/examples/"${example}" > "build/example-${example}.out"
+  cmp "build/example-${example}.out" "tests/golden/examples/${example}.golden" || {
+    echo "example ${example}: stdout differs from tests/golden/examples/${example}.golden" >&2
+    exit 1
+  }
 done
 
 # Bench smoke at a tiny scale. The scorecard's paper-figure checks may fail
@@ -412,6 +419,22 @@ EOF
     }
   done
   echo "fullscale smoke: health byte-identical resident and spilled, --jobs 1 and 4"
+
+  # The radio studies on the workers: Figure 3 measures every mesh link
+  # across the shards and Figure 7 renders the MR18 scans. Both must print
+  # the same bytes at --jobs 1 and 4.
+  local artifact
+  for artifact in fig3 fig7; do
+    for jobs in 1 4; do
+      ./build/tools/wlmctl report "${artifact}" --networks 12 --seed 11 --jobs "${jobs}" \
+        > "${dir}/${artifact}-j${jobs}.out"
+    done
+    cmp "${dir}/${artifact}-j1.out" "${dir}/${artifact}-j4.out" || {
+      echo "fullscale smoke: report ${artifact} differs between --jobs 1 and --jobs 4" >&2
+      exit 1
+    }
+  done
+  echo "fullscale smoke: report fig3 and fig7 byte-identical at --jobs 1 and 4"
 }
 fullscale_smoke
 
