@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <sys/wait.h>
 
 #include "cli/parse.hpp"
+#include "wlmctl_options.hpp"
 
 namespace wlm {
 namespace {
@@ -221,6 +223,34 @@ TEST(WlmctlFlagValidation, ScenarioOptionsReachOnlyTheirArtifacts) {
   EXPECT_EQ(wlmctl_exit("report meshdelay --networks 2 --mesh-fraction 0.5"), 0);
   // An unknown artifact is a usage error too.
   EXPECT_EQ(wlmctl_exit("report table9 --networks 2"), 2);
+}
+
+TEST(WlmctlUsage, EveryAcceptedOptionIsInItsCommandsBlock) {
+  // wlmctl with no command prints the usage text and exits 2. Each
+  // command's block starts at its "  <command>" line and runs to the next
+  // command's line or the first blank line; it must name every option the
+  // command's parser accepts.
+  const auto [code, text] = wlmctl_run("");
+  EXPECT_EQ(code, 2);
+  std::map<std::string, std::string> blocks;
+  std::istringstream lines(text);
+  std::string line;
+  std::string current;
+  while (std::getline(lines, line)) {
+    if (line.empty()) current.clear();
+    if (line.size() > 2 && line.rfind("  ", 0) == 0 && line[2] != ' ') {
+      current = line.substr(2, line.find(' ', 2) - 2);
+    }
+    if (!current.empty()) blocks[current] += line + '\n';
+  }
+  for (const auto& [command, options] : wlmctl::command_options()) {
+    const auto block = blocks.find(std::string(command));
+    ASSERT_NE(block, blocks.end()) << "no usage block for " << command;
+    for (const std::string_view option : options) {
+      EXPECT_NE(block->second.find("[--" + std::string(option) + " "), std::string::npos)
+          << "the usage block for " << command << " does not name --" << option;
+    }
+  }
 }
 
 #ifdef WLM_GOLDEN_DIR

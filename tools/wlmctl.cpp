@@ -33,10 +33,15 @@
 #include "telemetry/export.hpp"
 #include "traffic/pcap.hpp"
 #include "traffic/workload.hpp"
+#include "wlmctl_options.hpp"
 
 namespace {
 
 using namespace wlm;
+using wlmctl::kFleetOptions;
+using wlmctl::kMeshOptions;
+using wlmctl::kMobilityOptions;
+using wlmctl::OptionList;
 
 struct Args {
   std::map<std::string, std::string> options;
@@ -74,8 +79,6 @@ struct Args {
     return *v;
   }
 };
-
-using OptionList = std::vector<std::string_view>;
 
 /// One subcommand and the options it reads.
 struct Command {
@@ -485,14 +488,6 @@ int cmd_simulate(const Args& args) {
   return degraded ? kExitDegraded : 0;
 }
 
-/// Fleet size, parallelism and streaming harvest, which every report
-/// artifact reads; and the scenario packs, which only their studies read.
-const OptionList kFleetOptions = {"networks", "scale",          "seed",
-                                  "jobs",     "mem-ceiling-mb", "spill-dir"};
-const OptionList kMobilityOptions = {"mobility", "roam-prob", "mobility-speed", "mobility-steps"};
-const OptionList kMeshOptions = {"mesh-fraction", "mesh-max-hops", "mesh-floor-dbm",
-                                 "mesh-drift-db"};
-
 using Scale = analysis::ScenarioScale;
 
 /// Prints a render to stdout; returns exit code 0.
@@ -852,12 +847,29 @@ int usage() {
                "            mesh artifacts also take [--mesh-fraction F] [--mesh-max-hops N]\n"
                "            [--mesh-floor-dbm D] [--mesh-drift-db D]:\n%s"
                "            scorecard checks every paper claim; it exits 1 if one fails\n"
-               "  health    [--networks N] [--seed S] [--faults SPEC] [--jobs N]\n"
+               "  health    [--networks N] [--scale paper] [--seed S]\n"
+               "            [--faults SPEC] [--jobs N]\n"
+               "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
+               "            [--failpoints SPEC] [--max-shard-retries N]\n"
+               "            [--shard-deadline SIM_HOURS]\n"
+               "            [--mobility on|off] [--roam-prob P] [--mobility-speed M]\n"
+               "            [--mobility-steps N]\n"
+               "            [--mesh-fraction F] [--mesh-max-hops N] [--mesh-floor-dbm D]\n"
+               "            [--mesh-drift-db D]\n"
+               "            run a faulted week and triage every AP and tunnel\n"
                "  pcap      <path> [--flows N] [--seed S]\n"
                "  export    <dir> [--networks N] [--scale paper] [--seed S] [--jobs N]\n"
                "            [--mem-ceiling-mb MB] [--spill-dir DIR]  write CSV data series\n"
-               "  stats     [--networks N] [--seed S] [--faults SPEC] [--jobs N]\n"
+               "  stats     [--networks N] [--scale paper] [--seed S]\n"
+               "            [--faults SPEC] [--jobs N]\n"
+               "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
+               "            [--failpoints SPEC] [--max-shard-retries N]\n"
+               "            [--shard-deadline SIM_HOURS]\n"
                "            [--metrics-out FILE] [--trace-out FILE]\n"
+               "            [--mobility on|off] [--roam-prob P] [--mobility-speed M]\n"
+               "            [--mobility-steps N]\n"
+               "            [--mesh-fraction F] [--mesh-max-hops N] [--mesh-floor-dbm D]\n"
+               "            [--mesh-drift-db D]\n"
                "            run a week campaign, print the Prometheus-style metrics\n"
                "            snapshot, and verify it reconciles with the loss ledger\n"
                "\n"
@@ -898,28 +910,14 @@ int usage() {
   return 2;
 }
 
-/// Concatenates option lists (the shared groups below).
-OptionList join(std::initializer_list<OptionList> groups) {
-  OptionList all;
-  for (const auto& group : groups) all.insert(all.end(), group.begin(), group.end());
-  return all;
-}
-
 const std::vector<Command>& commands() {
-  // Fleet size, parallelism and streaming harvest; the scenario packs;
-  // faults and supervision.
-  const OptionList scenario = join({kMobilityOptions, kMeshOptions});
-  const OptionList faults = {"faults", "failpoints", "max-shard-retries", "shard-deadline"};
   static const std::vector<Command> table = {
-      {"simulate", cmd_simulate,
-       join({kFleetOptions, scenario, faults,
-             {"checkpoint-out", "checkpoint-every", "resume-from", "halt-after-phase",
-              "metrics-out"}})},
-      {"report", cmd_report, join({kFleetOptions, scenario})},
-      {"health", cmd_health, join({kFleetOptions, scenario, faults})},
-      {"pcap", cmd_pcap, {"flows", "seed"}},
-      {"export", cmd_export, kFleetOptions},
-      {"stats", cmd_stats, join({kFleetOptions, scenario, faults, {"metrics-out", "trace-out"}})},
+      {"simulate", cmd_simulate, wlmctl::options_of("simulate")},
+      {"report", cmd_report, wlmctl::options_of("report")},
+      {"health", cmd_health, wlmctl::options_of("health")},
+      {"pcap", cmd_pcap, wlmctl::options_of("pcap")},
+      {"export", cmd_export, wlmctl::options_of("export")},
+      {"stats", cmd_stats, wlmctl::options_of("stats")},
   };
   return table;
 }
