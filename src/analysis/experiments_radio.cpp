@@ -142,8 +142,16 @@ LinkRun run_link_study(const ScenarioScale& scale) {
   const auto params_before = deploy::neighbor_params(deploy::Epoch::kJul2014);
   const double util_scale_before = params_before.mean_24 / params_now.mean_24;
 
-  for (auto& link : world.mesh_links()) {
-    auto& receiver = *world.find_ap(link.to());
+  // Each link's two windows are measured on the worker pool; the CDFs are
+  // then filled in link order, so they are the same at any thread count.
+  struct LinkWindows {
+    phy::Band band = phy::Band::k2_4GHz;
+    sim::MeshLink::WindowResult before;
+    sim::MeshLink::WindowResult now;
+  };
+  std::vector<LinkWindows> windows(world.mesh_links().size());
+  world.for_each_link([&](std::size_t i, sim::MeshLink& link) {
+    const auto& receiver = *world.find_ap(link.to());
     const double util =
         sim::serving_utilization(receiver, link.band(), /*hour=*/14.0);
 
@@ -156,15 +164,18 @@ LinkRun run_link_study(const ScenarioScale& scale) {
     now_model.receiver_utilization = util;
     now_model.hidden_fraction = before_model.hidden_fraction;
     const auto now = link.measure_window(now_model);
+    windows[i] = LinkWindows{link.band(), before, now};
+  });
 
+  for (const auto& w : windows) {
     // The paper plots links that reported in BOTH periods (alive links).
-    if (before.received == 0 && now.received == 0) continue;
-    if (link.band() == phy::Band::k5GHz) {
-      run.ratios_5_before.push_back(before.ratio());
-      run.ratios_5_now.push_back(now.ratio());
+    if (w.before.received == 0 && w.now.received == 0) continue;
+    if (w.band == phy::Band::k5GHz) {
+      run.ratios_5_before.push_back(w.before.ratio());
+      run.ratios_5_now.push_back(w.now.ratio());
     } else {
-      run.ratios_24_before.push_back(before.ratio());
-      run.ratios_24_now.push_back(now.ratio());
+      run.ratios_24_before.push_back(w.before.ratio());
+      run.ratios_24_now.push_back(w.now.ratio());
     }
   }
 

@@ -1,7 +1,9 @@
 #include "mac/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace wlm::mac {
 
@@ -68,10 +70,12 @@ ChannelCounters MediumObserver::observe_sampled(Duration window,
   // renewal process; we sample the fraction of the window it is on. With a
   // frame-scale on-period (~1 ms) and a 5 ms dwell, the on-time within the
   // window is roughly binomial over 5 slots — cheap and close enough.
+  // One bit per slot: a slot is busy (decodable) if any source is on (and
+  // decodes) in it.
   constexpr int kSlots = 16;
   const std::int64_t window_us = window.as_micros();
-  std::vector<double> slot_busy(kSlots, 0.0);
-  std::vector<double> slot_decodable(kSlots, 0.0);
+  std::uint32_t busy_slots = 0;
+  std::uint32_t decodable_slots = 0;
   for (const auto& s : sources) {
     if (!senses(s)) continue;
     // Bursty sources are either absent from this window or concentrated:
@@ -79,20 +83,17 @@ ChannelCounters MediumObserver::observe_sampled(Duration window,
     const double p_active = std::clamp(s.window_active_prob, 1e-6, 1.0);
     if (!rng.chance(p_active)) continue;
     const double d = std::clamp(s.duty_cycle / p_active, 0.0, 1.0);
+    const bool wifi = s.kind == SourceKind::kWifi;
+    const double plcp = std::clamp(s.plcp_decode_prob, 0.0, 1.0);
     for (int i = 0; i < kSlots; ++i) {
       if (!rng.chance(d)) continue;
-      slot_busy[static_cast<std::size_t>(i)] = 1.0;
-      if (s.kind == SourceKind::kWifi && rng.chance(std::clamp(s.plcp_decode_prob, 0.0, 1.0))) {
-        slot_decodable[static_cast<std::size_t>(i)] = 1.0;
-      }
+      busy_slots |= 1U << i;
+      if (wifi && rng.chance(plcp)) decodable_slots |= 1U << i;
     }
   }
-  double busy = 0.0;
-  double decodable = 0.0;
-  for (int i = 0; i < kSlots; ++i) {
-    busy += slot_busy[static_cast<std::size_t>(i)];
-    decodable += slot_decodable[static_cast<std::size_t>(i)];
-  }
+  // Slot counts are small integers, exact as doubles.
+  const auto busy = static_cast<double>(std::popcount(busy_slots));
+  const auto decodable = static_cast<double>(std::popcount(decodable_slots));
   ChannelCounters c;
   c.cycle_us = window_us;
   c.busy_us = static_cast<std::int64_t>(busy / kSlots * static_cast<double>(window_us));

@@ -85,7 +85,10 @@ class MediumObserver {
                                         double own_tx_duty = 0.0) const;
 
   /// Sampled counters for short windows (e.g. the MR18's 5 ms dwells) where
-  /// a single beacon either lands in the window or does not.
+  /// a single beacon either lands in the window or does not. A source that
+  /// senses() rejects is skipped before any draw, so `sources` filtered
+  /// through senses() gives the same counters and leaves `rng` in the same
+  /// state.
   [[nodiscard]] ChannelCounters observe_sampled(Duration window,
                                                 const std::vector<ActivitySource>& sources,
                                                 Rng& rng) const;

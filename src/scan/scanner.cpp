@@ -1,6 +1,7 @@
 #include "scan/scanner.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace wlm::scan {
 
@@ -28,13 +29,20 @@ std::vector<ChannelScanResult> Mr18Scanner::scan_window(
       static_cast<int>(std::min<std::int64_t>(dwells_per_channel, max_dwells_));
 
   results.reserve(activities.size());
+  // A channel's sources are filtered once per scan, not once per dwell:
+  // senses() is pure and draws nothing, so sampling each dwell over the
+  // sensed sources only consumes exactly the draws the full list would.
+  std::vector<mac::ActivitySource> sensed;
   for (const auto& activity : activities) {
     ChannelScanResult r;
     r.channel = activity.channel;
     r.neighbor_count = activity.neighbor_count;
+    sensed.clear();
+    std::copy_if(activity.sources.begin(), activity.sources.end(), std::back_inserter(sensed),
+                 [&observer](const mac::ActivitySource& s) { return observer.senses(s); });
     mac::ChannelCounters acc;
     for (int d = 0; d < sampled; ++d) {
-      acc += observer.observe_sampled(dwell_, activity.sources, rng);
+      acc += observer.observe_sampled(dwell_, sensed, rng);
     }
     // Scale the subsample back to the full dwell budget so cycle counts
     // reflect real listening time.

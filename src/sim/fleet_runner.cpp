@@ -277,6 +277,18 @@ void FleetRunner::harvest(HarvestMode mode) {
   telemetry::global_profiler().record("harvest_merge", merge_watch.seconds());
 }
 
+void FleetRunner::for_each_link(const std::function<void(std::size_t, MeshLink&)>& fn) {
+  // link_ptrs_ is shard-major, so shard i's links start where shard i-1's
+  // end.
+  std::vector<std::size_t> first(shards_.size() + 1, 0);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    first[i + 1] = first[i] + shards_[i]->links().size();
+  }
+  parallel_for(shards_.size(), [&](std::size_t i) {
+    for (std::size_t k = first[i]; k < first[i + 1]; ++k) fn(k, *link_ptrs_[k]);
+  });
+}
+
 std::vector<SeriesPoint> FleetRunner::link_week_series(std::size_t link_index,
                                                        Duration step) {
   std::vector<SeriesPoint> series;

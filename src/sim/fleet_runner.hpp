@@ -134,6 +134,13 @@ class FleetRunner {
   /// still-open outage offline, their backlog in flight.
   void harvest(HarvestMode mode = HarvestMode::kFinal);
 
+  /// Runs `fn(index, link)` for every mesh link, where `index` is the
+  /// link's position in mesh_links(). Each shard's links are one task on
+  /// the worker pool, visited in order. `fn` may change only `link` (each
+  /// link owns its RNG and fading processes) and may read any AP, so the
+  /// result is the same at any thread count.
+  void for_each_link(const std::function<void(std::size_t, MeshLink&)>& fn);
+
   /// Delivery-ratio time series for one link across a simulated week
   /// (Figures 4/5); `link_index` indexes the flat mesh_links() view.
   [[nodiscard]] std::vector<SeriesPoint> link_week_series(std::size_t link_index,
