@@ -1,5 +1,6 @@
 #include "deploy/generator.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace wlm::deploy {
@@ -31,9 +32,11 @@ double clients_per_ap(Industry industry) {
   }
 }
 
-Fleet generate_fleet(const FleetConfig& config) {
-  Fleet fleet;
+void generate_fleet(const FleetConfig& config, Fleet& fleet,
+                    const std::function<void(std::size_t)>& on_network) {
   fleet.config = config;
+  fleet.networks.clear();
+  fleet.networks.reserve(static_cast<std::size_t>(std::max(0, config.network_count)));
   Rng rng(config.seed);
 
   std::uint32_t next_ap = 1;
@@ -74,8 +77,15 @@ Fleet generate_fleet(const FleetConfig& config) {
       ap.environment = neighbor_gen.generate(rng);
       net.aps.push_back(std::move(ap));
     }
+    assert(fleet.networks.size() < fleet.networks.capacity());
     fleet.networks.push_back(std::move(net));
+    on_network(fleet.networks.size() - 1);
   }
+}
+
+Fleet generate_fleet(const FleetConfig& config) {
+  Fleet fleet;
+  generate_fleet(config, fleet, [](std::size_t) {});
   return fleet;
 }
 

@@ -3,11 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 
 #include "classify/oui.hpp"
 
 namespace wlm::deploy {
+
+namespace {
+
+void append_hex4(std::string& out, unsigned value) {
+  static constexpr char kDigits[] = "0123456789ABCDEF";
+  for (int shift = 12; shift >= 0; shift -= 4) out += kDigits[(value >> shift) & 0xF];
+}
+
+}  // namespace
 
 NeighborModelParams neighbor_params(Epoch epoch) {
   NeighborModelParams p;
@@ -125,21 +134,18 @@ std::vector<NeighborInfo> NeighborGenerator::generate_band(phy::Band band, Rng& 
     n.bssid = MacAddress::from_u64(
         (static_cast<std::uint64_t>(classify::representative_oui(vendor)) << 24) | low);
     // SSIDs in the style the vendor ships: hotspots carry carrier names,
-    // infrastructure gear its default-or-corporate label.
-    {
-      char ssid[36];
-      const unsigned tag = static_cast<unsigned>(low & 0xFFFF);
-      if (n.is_hotspot) {
-        std::snprintf(ssid, sizeof ssid, "%s-MiFi-%04X",
-                      rng.chance(0.5) ? "Verizon" : "Sprint", tag);
-      } else if (rng.chance(0.4)) {
-        std::snprintf(ssid, sizeof ssid, "%s-%04X",
-                      std::string(classify::vendor_name(vendor)).c_str(), tag);
-      } else {
-        std::snprintf(ssid, sizeof ssid, "corp-net-%04X", tag);
-      }
-      n.ssid = ssid;
+    // infrastructure gear its default-or-corporate label, each with the
+    // BSSID's low 16 bits as a 4-digit uppercase hex tag.
+    if (n.is_hotspot) {
+      n.ssid = rng.chance(0.5) ? "Verizon" : "Sprint";
+      n.ssid += "-MiFi-";
+    } else if (rng.chance(0.4)) {
+      n.ssid = classify::vendor_name(vendor);
+      n.ssid += '-';
+    } else {
+      n.ssid = "corp-net-";
     }
+    append_hex4(n.ssid, static_cast<unsigned>(low & 0xFFFF));
     n.legacy_11b = is24 && !n.is_hotspot && rng.chance(0.08);
     n.ssid_count = n.is_hotspot ? 1 : 1 + static_cast<int>(rng.uniform_int(0, 2));
     // Foreign traffic duty (beacons excluded): heavy-tailed, mostly light.
@@ -148,7 +154,7 @@ std::vector<NeighborInfo> NeighborGenerator::generate_band(phy::Band band, Rng& 
     n.day_duty = std::min(0.40, base);
     // Hotspots travel home at night; offices go quiet but not silent.
     n.night_duty = n.day_duty * (n.is_hotspot ? 0.1 : rng.uniform(0.2, 0.6));
-    out.push_back(n);
+    out.push_back(std::move(n));
   }
   return out;
 }
@@ -157,7 +163,8 @@ NeighborEnvironment NeighborGenerator::generate(Rng& rng) const {
   NeighborEnvironment env;
   env.neighbors = generate_band(phy::Band::k2_4GHz, rng);
   auto five = generate_band(phy::Band::k5GHz, rng);
-  env.neighbors.insert(env.neighbors.end(), five.begin(), five.end());
+  env.neighbors.insert(env.neighbors.end(), std::make_move_iterator(five.begin()),
+                       std::make_move_iterator(five.end()));
 
   // Non-802.11 interference lives almost entirely in the 2.4 GHz ISM band:
   // Bluetooth hoppers and the occasional microwave oven / video sender.

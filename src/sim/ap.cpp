@@ -6,7 +6,7 @@ namespace wlm::sim {
 
 ApRuntime::ApRuntime(const deploy::ApConfig& config, NetworkId network,
                      deploy::Industry industry, std::size_t queue_limit)
-    : config_(config), network_(network), industry_(industry),
+    : config_(&config), network_(network), industry_(industry),
       tunnel_(config.id, queue_limit) {}
 
 void ApRuntime::set_tx_duty(double duty_24, double duty_5) {
@@ -20,13 +20,8 @@ double ApRuntime::tx_duty(phy::Band band, double hour) const {
 }
 
 RadioEnvironment ApRuntime::environment(double hour) const {
-  std::vector<FleetPeer> scaled = peers_;
-  for (auto& p : scaled) {
-    const double mult = traffic::diurnal_multiplier(hour, industry_);
-    p.tx_duty_24 *= mult;
-    p.tx_duty_5 *= mult;
-  }
-  return RadioEnvironment{&config_.environment, std::move(scaled)};
+  return RadioEnvironment{&config_->environment, peers_,
+                          traffic::diurnal_multiplier(hour, industry_)};
 }
 
 }  // namespace wlm::sim

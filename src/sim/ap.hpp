@@ -60,12 +60,14 @@ class ClientColumns {
 
 class ApRuntime {
  public:
-  /// `queue_limit` bounds the device-side tunnel queue (see backend::Tunnel).
+  /// `config` is the fleet's own generated config, kept by address: it must
+  /// outlive the runtime. `queue_limit` bounds the device-side tunnel queue
+  /// (see backend::Tunnel).
   ApRuntime(const deploy::ApConfig& config, NetworkId network, deploy::Industry industry,
             std::size_t queue_limit = 4096);
 
-  [[nodiscard]] const deploy::ApConfig& config() const { return config_; }
-  [[nodiscard]] ApId id() const { return config_.id; }
+  [[nodiscard]] const deploy::ApConfig& config() const { return *config_; }
+  [[nodiscard]] ApId id() const { return config_->id; }
   [[nodiscard]] NetworkId network() const { return network_; }
   [[nodiscard]] deploy::Industry industry() const { return industry_; }
 
@@ -88,7 +90,7 @@ class ApRuntime {
   [[nodiscard]] RadioEnvironment environment(double hour) const;
 
  private:
-  deploy::ApConfig config_;
+  const deploy::ApConfig* config_;
   NetworkId network_;
   deploy::Industry industry_;
   backend::Tunnel tunnel_;

@@ -11,6 +11,14 @@
 //      is confined to its shard, so workers never contend;
 //   3. harvest seals shard stores in fleet order, so the vault's contents
 //      are independent of which worker ran which shard.
+//
+// Construction: the calling thread generates the fleet network by network
+// while up to `threads - 1` helpers build each network's shard as soon as
+// it is published; the calling thread then joins them, so construction
+// uses at most `threads` (`--jobs`) threads. `fleet_.networks` is reserved
+// for every network before the first is generated and never resized after:
+// each shard keeps a pointer to its NetworkConfig and each ApRuntime one to
+// its ApConfig, neither a copy.
 #pragma once
 
 #include <cstdint>
@@ -196,6 +204,7 @@ class FleetRunner {
 
  private:
   WorldConfig config_;
+  /// Reserved up front and never resized: shards and APs point into it.
   deploy::Fleet fleet_;
   std::vector<std::unique_ptr<NetworkShard>> shards_;
   std::vector<ApRuntime*> ap_ptrs_;
@@ -207,9 +216,16 @@ class FleetRunner {
   failsafe::ShardSupervisor supervisor_;
   double campaign_sim_hours_ = 0.0;
 
-  /// Runs `fn(i)` for every i in [0, count) on the worker pool (serial when
-  /// threads <= 1). `fn` must confine itself to shard i's state.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+  /// Runs `fn(i)` for every i in [0, count) on at most `threads` threads:
+  /// the calling thread plus up to threads - 1 helpers, which claim indices
+  /// in ascending order (serial when threads <= 1). `fn` must confine itself
+  /// to shard i's state. With `produce`, the calling thread first runs
+  /// produce(publish), which must call publish(i) for i = 0, 1, ... in order
+  /// once index i is ready; helpers run fn(i) only after it is published,
+  /// and the calling thread joins the claim loop when produce returns.
+  void parallel_for(
+      std::size_t count, const std::function<void(std::size_t)>& fn,
+      const std::function<void(const std::function<void(std::size_t)>&)>& produce = {});
   /// Campaign-phase dispatch under supervision: fans `fn` out across the
   /// worker pool with per-shard exception isolation, then lets the
   /// supervisor restore/retry/quarantine failed shards in fleet order.

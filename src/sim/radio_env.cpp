@@ -1,5 +1,7 @@
 #include "sim/radio_env.hpp"
 
+#include <array>
+#include <cassert>
 #include <cmath>
 
 #include "mac/beacon.hpp"
@@ -16,22 +18,80 @@ double neighbor_beacon_duty(const deploy::NeighborInfo& n) {
          static_cast<double>(mac::kBeaconIntervalUs);
 }
 
+namespace {
+
+/// One bit per US-plan channel in CouplingRow's mask.
+constexpr std::size_t kMaxPlanChannels = 64;
+/// A channel the US plan does not have: its sources are never heard.
+constexpr std::uint8_t kNotInPlan = 0xFF;
+
+std::uint8_t plan_index(phy::Band band, int number) {
+  const auto& channels = phy::ChannelPlan::us().channels();
+  for (std::size_t k = 0; k < channels.size(); ++k) {
+    if (channels[k].band == band && channels[k].number == number) {
+      return static_cast<std::uint8_t>(k);
+    }
+  }
+  return kNotInPlan;
+}
+
+/// How energy on each US-plan channel couples into one scanned channel:
+/// the adjacent-channel rejection and the overlap, each computed the first
+/// time a source on that plan channel asks for it.
+class CouplingRow {
+ public:
+  struct Coupling {
+    double rejection_db;
+    double overlap;
+  };
+
+  explicit CouplingRow(const phy::Channel& scanned) : scanned_(scanned) {}
+
+  const Coupling& at(std::uint8_t k) {
+    if (((filled_ >> k) & 1U) == 0) {
+      const phy::Channel& source = phy::ChannelPlan::us().channels()[k];
+      row_[k] = Coupling{phy::adjacent_channel_rejection_db(scanned_, source),
+                         phy::channel_overlap(scanned_, source)};
+      filled_ |= std::uint64_t{1} << k;
+    }
+    return row_[k];
+  }
+
+ private:
+  const phy::Channel& scanned_;
+  std::uint64_t filled_ = 0;
+  std::array<Coupling, kMaxPlanChannels> row_;
+};
+
+}  // namespace
+
 RadioEnvironment::RadioEnvironment(const deploy::NeighborEnvironment* env,
-                                   std::vector<FleetPeer> peers)
-    : env_(env), peers_(std::move(peers)) {}
+                                   std::span<const FleetPeer> peers, double peer_duty_scale)
+    : env_(env), peers_(peers), peer_duty_scale_(peer_duty_scale) {
+  assert(phy::ChannelPlan::us().channels().size() <= kMaxPlanChannels);
+  neighbor_channel_.reserve(env_->neighbors.size());
+  for (const auto& n : env_->neighbors) {
+    neighbor_channel_.push_back(plan_index(n.band, n.channel));
+  }
+  peer_channel_.reserve(2 * peers_.size());
+  for (const auto& peer : peers_) {
+    peer_channel_.push_back(plan_index(phy::Band::k2_4GHz, peer.channel_24));
+    peer_channel_.push_back(plan_index(phy::Band::k5GHz, peer.channel_5));
+  }
+}
 
 scan::ChannelActivity RadioEnvironment::activity_on(const phy::Channel& channel,
                                                     double hour) const {
   scan::ChannelActivity activity;
   activity.channel = channel;
   const bool day = is_daytime(hour);
-  const auto& plan = phy::ChannelPlan::us();
+  const bool is24 = channel.band == phy::Band::k2_4GHz;
+  CouplingRow coupling(channel);
 
-  for (const auto& n : env_->neighbors) {
-    if (n.band != channel.band) continue;
-    const auto n_channel = plan.find(n.band, n.channel);
-    if (!n_channel) continue;
-    const double rejection = phy::adjacent_channel_rejection_db(channel, *n_channel);
+  for (std::size_t j = 0; j < env_->neighbors.size(); ++j) {
+    const auto& n = env_->neighbors[j];
+    if (n.band != channel.band || neighbor_channel_[j] == kNotInPlan) continue;
+    const auto& [rejection, overlap] = coupling.at(neighbor_channel_[j]);
     if (rejection >= 200.0) continue;  // disjoint
     const PowerDbm rx = PowerDbm{n.rssi_dbm} - rejection;
 
@@ -45,7 +105,6 @@ scan::ChannelActivity RadioEnvironment::activity_on(const phy::Channel& channel,
     data.rx_power = rx;
     data.duty_cycle = day ? n.day_duty : n.night_duty;
     data.window_active_prob = 0.15;
-    const double overlap = phy::channel_overlap(channel, *n_channel);
     if (rejection == 0.0) {
       // Co-channel: frames decodable if the preamble survives.
       const double sinr = rx - phy::noise_floor(channel.width_mhz());
@@ -75,20 +134,17 @@ scan::ChannelActivity RadioEnvironment::activity_on(const phy::Channel& channel,
     }
   }
 
-  for (const auto& peer : peers_) {
-    const int peer_channel =
-        channel.band == phy::Band::k2_4GHz ? peer.channel_24 : peer.channel_5;
-    const auto pc = plan.find(channel.band, peer_channel);
-    if (!pc) continue;
-    const double rejection = phy::adjacent_channel_rejection_db(channel, *pc);
+  for (std::size_t p = 0; p < peers_.size(); ++p) {
+    const FleetPeer& peer = peers_[p];
+    const std::uint8_t k = peer_channel_[2 * p + (is24 ? 0 : 1)];
+    if (k == kNotInPlan) continue;
+    const double rejection = coupling.at(k).rejection_db;
     if (rejection >= 200.0) continue;
-    const double rx_dbm = channel.band == phy::Band::k2_4GHz ? peer.rx_power_24_dbm
-                                                             : peer.rx_power_5_dbm;
+    const double rx_dbm = is24 ? peer.rx_power_24_dbm : peer.rx_power_5_dbm;
     mac::ActivitySource src;
     src.rx_power = PowerDbm{rx_dbm} - rejection;
     // Fleet beacons: one SSID, OFDM format; plus its client traffic.
-    const double peer_duty =
-        channel.band == phy::Band::k2_4GHz ? peer.tx_duty_24 : peer.tx_duty_5;
+    const double peer_duty = (is24 ? peer.tx_duty_24 : peer.tx_duty_5) * peer_duty_scale_;
     src.duty_cycle = static_cast<double>(mac::beacon_airtime_us(false)) /
                          static_cast<double>(mac::kBeaconIntervalUs) +
                      peer_duty;

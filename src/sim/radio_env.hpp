@@ -4,6 +4,8 @@
 // offered load.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "deploy/generator.hpp"
@@ -25,7 +27,12 @@ struct FleetPeer {
 
 class RadioEnvironment {
  public:
-  RadioEnvironment(const deploy::NeighborEnvironment* env, std::vector<FleetPeer> peers);
+  /// Keeps `env` and `peers` by reference: both must outlive it. Each
+  /// peer's tx duties count scaled by `peer_duty_scale` (the hour's diurnal
+  /// multiplier). Every neighbor's and peer's channel is resolved against
+  /// the US plan once, here.
+  RadioEnvironment(const deploy::NeighborEnvironment* env, std::span<const FleetPeer> peers,
+                   double peer_duty_scale = 1.0);
 
   /// Activity on `channel` at hour-of-day `hour`. `day` selects the day/
   /// night duty for foreign sources (true for business hours).
@@ -43,7 +50,13 @@ class RadioEnvironment {
 
  private:
   const deploy::NeighborEnvironment* env_;
-  std::vector<FleetPeer> peers_;
+  std::span<const FleetPeer> peers_;
+  double peer_duty_scale_;
+  /// US-plan index of each neighbor's channel, in neighbor order (0xFF
+  /// when the plan has no such channel).
+  std::vector<std::uint8_t> neighbor_channel_;
+  /// The same for each peer's 2.4 GHz then 5 GHz channel, two per peer.
+  std::vector<std::uint8_t> peer_channel_;
 };
 
 /// Whether `hour` counts as daytime for foreign-network duty purposes.

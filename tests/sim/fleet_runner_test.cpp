@@ -42,16 +42,31 @@ std::uint32_t run_campaigns_and_digest(const WorldConfig& cfg) {
   return store_digest(runner.reports());
 }
 
-TEST(FleetRunner, StructureMatchesFleet) {
-  FleetRunner runner(small_fleet());
-  EXPECT_EQ(runner.shards().size(), runner.fleet().networks.size());
-  EXPECT_EQ(static_cast<int>(runner.aps().size()), runner.fleet().total_aps());
+/// Shards, APs and links line up with the generated fleet, and every AP
+/// runtime reads the fleet's own config object rather than a copy.
+void expect_structure_matches_fleet(FleetRunner& runner) {
+  const deploy::Fleet& fleet = runner.fleet();
+  ASSERT_EQ(runner.shards().size(), fleet.networks.size());
+  EXPECT_EQ(static_cast<int>(runner.aps().size()), fleet.total_aps());
   std::size_t shard_links = 0;
   for (const auto& shard : runner.shards()) shard_links += shard->links().size();
   EXPECT_EQ(runner.mesh_links().size(), shard_links);
   for (const auto& ap : runner.aps()) {
     EXPECT_EQ(runner.find_ap(ap.id()), &ap);
   }
+  for (std::size_t i = 0; i < fleet.networks.size(); ++i) {
+    const NetworkShard& shard = *runner.shards()[i];
+    EXPECT_EQ(&shard.network(), &fleet.networks[i]);
+    ASSERT_EQ(shard.aps().size(), fleet.networks[i].aps.size());
+    for (std::size_t a = 0; a < shard.aps().size(); ++a) {
+      EXPECT_EQ(&shard.aps()[a].config(), &fleet.networks[i].aps[a]);
+    }
+  }
+}
+
+TEST(FleetRunner, StructureMatchesFleet) {
+  FleetRunner runner(small_fleet());
+  expect_structure_matches_fleet(runner);
 }
 
 TEST(FleetRunner, OutputBitIdenticalAcrossThreadCounts) {
@@ -62,6 +77,19 @@ TEST(FleetRunner, OutputBitIdenticalAcrossThreadCounts) {
   const std::uint32_t parallel3 = run_campaigns_and_digest(small_fleet(12, 11, 3));
   EXPECT_EQ(serial, parallel4);
   EXPECT_EQ(serial, parallel3);
+  // Construction builds shards while the generator runs: an empty fleet, a
+  // one-network fleet and more threads than networks must all return with
+  // the same structure and output as the serial build.
+  for (const int networks : {0, 1, 3}) {
+    for (const int threads : {1, 4, 8}) {
+      FleetRunner runner(small_fleet(networks, 11, threads));
+      SCOPED_TRACE(testing::Message() << networks << " networks, " << threads << " threads");
+      EXPECT_EQ(static_cast<int>(runner.fleet().networks.size()), networks);
+      expect_structure_matches_fleet(runner);
+    }
+    EXPECT_EQ(run_campaigns_and_digest(small_fleet(networks, 11, 1)),
+              run_campaigns_and_digest(small_fleet(networks, 11, 8)));
+  }
 }
 
 TEST(FleetRunner, SeedChangesOutput) {

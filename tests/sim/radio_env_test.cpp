@@ -108,7 +108,8 @@ TEST(RadioEnv, FleetPeersAppearCoChannel) {
   peer.channel_24 = 6;
   peer.rx_power_24_dbm = -55.0;
   peer.tx_duty_24 = 0.05;
-  RadioEnvironment radio(&env, {peer});
+  const std::vector<FleetPeer> peers{peer};
+  RadioEnvironment radio(&env, peers);
   const auto activity = radio.activity_on(ch(phy::Band::k2_4GHz, 6), 12.0);
   ASSERT_EQ(activity.sources.size(), 1u);
   EXPECT_EQ(activity.sources[0].kind, mac::SourceKind::kWifi);
