@@ -17,6 +17,7 @@
 #include "ckpt/state.hpp"
 #include "classify/tls.hpp"
 #include "classify/verdict_cache.hpp"
+#include "core/checksum.hpp"
 #include "support/report_store.hpp"
 #include "telemetry/export.hpp"
 
@@ -42,6 +43,13 @@ TEST(CkptContainer, WriterReaderRoundTrip) {
   const auto err = r.load(bytes);
   ASSERT_FALSE(err) << err.detail;
   ASSERT_EQ(r.sections().size(), 3u);
+
+  // The container bytes and the payload offsets are pinned: a 16-byte
+  // header, then per section a one-byte tag, a one-byte length and a 4-byte
+  // CRC ahead of the payload.
+  EXPECT_EQ(bytes.size(), 50u);
+  EXPECT_EQ(crc32(bytes), 0xa460ce73u) << std::hex << crc32(bytes);
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{22, 35, 42}));
 
   // finish() reports where each payload landed in the container.
   ASSERT_EQ(offsets.size(), 3u);

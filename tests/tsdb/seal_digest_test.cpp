@@ -15,6 +15,11 @@
 // the way a per-AP reader (backend::HealthMonitor) folds it. The runner
 // reads with as many threads as it simulates with, so the read digest is
 // pinned across jobs as well.
+//
+// The ceiling run also pins the CRC of a whole-campaign checkpoint cut
+// after the usage week and after the MR16 campaign: the container frames
+// every shard, the supervision manifest and the sealed segments, the
+// spilled ones read back from their spill files.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/campaign.hpp"
 #include "core/checksum.hpp"
 #include "wire/encoder.hpp"
 #include "wire/messages.hpp"
@@ -36,6 +42,10 @@ struct Digest {
   std::size_t segments = 0;
   std::size_t multi_batch_networks = 0;
   std::uint64_t spilled = 0;
+  // CRC32 of ckpt::save_campaign's bytes, cut after usage_week and after
+  // mr16 (ceiling runs only).
+  std::uint32_t ckpt_week = 0;
+  std::uint32_t ckpt_mr16 = 0;
   // Child rows per column group, so the digest provably covers each kind.
   std::uint64_t usage = 0, neighbors = 0, links = 0, clients = 0, mesh_relayed = 0;
 };
@@ -95,17 +105,22 @@ std::uint32_t read_digest(const backend::ReportSource& source) {
 
 Digest run_digest(int threads, std::uint64_t ceiling_mb, const std::string& spill_dir) {
   sim::FleetRunner runner(digest_config(threads, ceiling_mb, spill_dir));
+  const auto checkpoint_crc = [&runner] {
+    return crc32(ckpt::save_campaign(runner, ckpt::CampaignProgress{}));
+  };
+  Digest d;
   const SimTime noon = SimTime::epoch() + Duration::hours(14);
   runner.run_usage_week();
+  if (ceiling_mb > 0) d.ckpt_week = checkpoint_crc();
   runner.harvest(sim::HarvestMode::kWeekEnd);
   runner.snapshot_clients(noon);
   runner.run_mr16_interference(noon);
+  if (ceiling_mb > 0) d.ckpt_mr16 = checkpoint_crc();
   runner.run_mr18_scan(noon, 14.0);
   runner.run_link_windows(noon);
   runner.harvest(sim::HarvestMode::kFinal);
 
   const tsdb::FleetStore& vault = runner.fleet_tsdb();
-  Digest d;
   d.segments = vault.segment_count();
   d.spilled = vault.stats().segments_spilled;
   for (std::size_t i = 0; i < vault.segment_count(); ++i) {
@@ -137,6 +152,10 @@ constexpr std::uint32_t kStreamingDigest = 0x54698462;
 // batches any ReportSource consumer sees.
 constexpr std::uint32_t kClassicRead = 0x4d160f44;
 constexpr std::uint32_t kStreamingRead = 0x6bfc3a17;
+// Pinned at the fleet-wide phase drain: the checkpoint cut after each
+// campaign under the ceiling, at any worker count.
+constexpr std::uint32_t kCkptAfterWeek = 0x9d926350;
+constexpr std::uint32_t kCkptAfterMr16 = 0x1e155593;
 
 void expect_every_column_kind(const Digest& d) {
   EXPECT_GT(d.usage, 0u);
@@ -172,6 +191,10 @@ TEST(SealDigest, CeilingHarvestSegmentsArePinnedAcrossJobs) {
   EXPECT_EQ(parallel.crc, kStreamingDigest) << std::hex << parallel.crc;
   EXPECT_EQ(serial.read_crc, kStreamingRead) << std::hex << serial.read_crc;
   EXPECT_EQ(parallel.read_crc, kStreamingRead) << std::hex << parallel.read_crc;
+  for (const Digest* run : {&serial, &parallel}) {
+    EXPECT_EQ(run->ckpt_week, kCkptAfterWeek) << std::hex << run->ckpt_week;
+    EXPECT_EQ(run->ckpt_mr16, kCkptAfterMr16) << std::hex << run->ckpt_mr16;
+  }
 }
 
 }  // namespace
