@@ -80,7 +80,7 @@ Error save_campaign_file(const std::string& path, sim::FleetRunner& runner,
 Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
                        RestoredCampaign& out) {
   Reader reader;
-  if (auto err = reader.load({bytes.begin(), bytes.end()})) return err;
+  if (auto err = reader.load(bytes)) return err;
 
   const auto config_payload = reader.find(SectionTag::kConfig);
   if (!config_payload) return {Status::kMalformed, "missing config section"};

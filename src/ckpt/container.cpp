@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "core/checksum.hpp"
 #include "wire/varint.hpp"
@@ -132,34 +133,37 @@ std::string Cursor::str() {
 
 // --- Writer ---
 
-void Writer::add_section(SectionTag tag, std::vector<std::uint8_t> payload) {
-  sections_.push_back({tag, std::move(payload)});
+namespace {
+/// Where the header's section count sits.
+constexpr std::size_t kCountOffset = sizeof kMagic + 4;
+}  // namespace
+
+Writer::Writer() : out_(std::begin(kMagic), std::end(kMagic)) {
+  put_u32_le(out_, kFormatVersion);
+  put_u32_le(out_, 0);  // section count, patched by finish()
 }
 
-std::vector<std::uint8_t> Writer::finish(std::vector<std::uint64_t>* payload_offsets) const {
-  std::size_t total = sizeof kMagic + 8;
-  for (const auto& s : sections_) total += s.payload.size() + 24;
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
-  put_u32_le(out, kFormatVersion);
-  put_u32_le(out, static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& s : sections_) {
-    wire::put_varint(out, static_cast<std::uint64_t>(s.tag));
-    wire::put_varint(out, s.payload.size());
-    put_u32_le(out, crc32(s.payload));
-    if (payload_offsets != nullptr) payload_offsets->push_back(out.size());
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
+void Writer::add_section(SectionTag tag, std::span<const std::uint8_t> payload) {
+  wire::put_varint(out_, static_cast<std::uint64_t>(tag));
+  wire::put_varint(out_, payload.size());
+  put_u32_le(out_, crc32(payload));
+  payload_offsets_.push_back(out_.size());
+  out_.insert(out_.end(), payload.begin(), payload.end());
+}
+
+std::vector<std::uint8_t> Writer::finish(std::vector<std::uint64_t>* payload_offsets) {
+  const auto count = static_cast<std::uint32_t>(payload_offsets_.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    out_[kCountOffset + i] = static_cast<std::uint8_t>(count >> (8 * i));
   }
-  return out;
+  if (payload_offsets != nullptr) *payload_offsets = std::move(payload_offsets_);
+  return std::move(out_);
 }
 
 // --- Reader ---
 
-Error Reader::load(std::vector<std::uint8_t> bytes) {
+Error Reader::load(std::span<const std::uint8_t> data) {
   sections_.clear();
-  bytes_ = std::move(bytes);
-  const std::span<const std::uint8_t> data{bytes_};
 
   if (data.size() < sizeof kMagic + 8) return {Status::kTruncated, "header truncated"};
   if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) {
@@ -171,7 +175,7 @@ Error Reader::load(std::vector<std::uint8_t> bytes) {
             "format version " + std::to_string(version) + ", expected " +
                 std::to_string(kFormatVersion)};
   }
-  const std::uint32_t count = get_u32_le(data.data() + sizeof kMagic + 4);
+  const std::uint32_t count = get_u32_le(data.data() + kCountOffset);
   std::size_t pos = sizeof kMagic + 8;
   // Each section costs at least 6 bytes (tag + len + crc); a count larger
   // than the bytes could hold is corruption, caught before any loop runs.

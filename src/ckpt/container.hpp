@@ -294,22 +294,24 @@ void expect(Io& io, T world) {
   }
 }
 
-/// Assembles a checkpoint container from finished section payloads.
+/// Assembles a checkpoint container in one buffer: the header is written
+/// up front and each section is framed straight behind the last, so no
+/// second copy of the payloads is ever made.
 class Writer {
  public:
-  void add_section(SectionTag tag, std::vector<std::uint8_t> payload);
-  /// Serializes header + all sections. When `payload_offsets` is given, it
-  /// receives each section's payload byte offset in the result, in section
-  /// order (spill files seek straight to a segment with it).
+  Writer();
+  /// Frames `payload` (tag, length, CRC) onto the end of the container.
+  void add_section(SectionTag tag, std::span<const std::uint8_t> payload);
+  /// Patches the section count into the header and hands over the
+  /// container; call once. When `payload_offsets` is given, it receives
+  /// each section's payload byte offset in the result, in section order
+  /// (spill files seek straight to a segment with it).
   [[nodiscard]] std::vector<std::uint8_t> finish(
-      std::vector<std::uint64_t>* payload_offsets = nullptr) const;
+      std::vector<std::uint64_t>* payload_offsets = nullptr);
 
  private:
-  struct Section {
-    SectionTag tag;
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<Section> sections_;
+  std::vector<std::uint8_t> out_;
+  std::vector<std::uint64_t> payload_offsets_;
 };
 
 /// Validates and indexes a checkpoint container. load() checks everything
@@ -322,8 +324,11 @@ class Reader {
     std::span<const std::uint8_t> payload;
   };
 
-  /// Takes ownership of the container bytes (payload spans point into it).
-  [[nodiscard]] Error load(std::vector<std::uint8_t> bytes);
+  /// Borrows the container bytes: the payload spans point into them, so
+  /// the caller keeps them alive and unchanged while it reads sections.
+  [[nodiscard]] Error load(std::span<const std::uint8_t> bytes);
+  /// A temporary would dangle under every payload span.
+  Error load(std::vector<std::uint8_t>&&) = delete;
 
   [[nodiscard]] const std::vector<Section>& sections() const { return sections_; }
   /// First section with `tag`, nullopt when absent.
@@ -332,7 +337,6 @@ class Reader {
   [[nodiscard]] std::vector<std::span<const std::uint8_t>> find_all(SectionTag tag) const;
 
  private:
-  std::vector<std::uint8_t> bytes_;
   std::vector<Section> sections_;
 };
 

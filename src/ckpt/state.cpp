@@ -545,17 +545,18 @@ bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store) {
     if (store.info(i).size > 0) ++live;
   }
   b.u64(live);
+  // One walk reads every spilled segment back, each spill file opened once.
   SegmentRecord record;
-  for (std::size_t i = 0; i < store.segment_count(); ++i) {
-    const auto info = store.info(i);
-    if (info.size == 0) continue;
-    if (store.segment_bytes(i, record.bytes)) return false;  // spill file unreadable
-    record.network_id = info.network_id;
-    record.batch_seq = info.batch_seq;
-    record.n_reports = info.n_reports;
-    fields(b, record);
-  }
-  return true;
+  const tsdb::Error err =
+      store.for_each_segment([&](std::size_t i, std::span<const std::uint8_t> bytes) {
+        const auto info = store.info(i);
+        record.network_id = info.network_id;
+        record.batch_seq = info.batch_seq;
+        record.n_reports = info.n_reports;
+        record.bytes.assign(bytes.begin(), bytes.end());
+        fields(b, record);
+      });
+  return err.ok();  // not ok: a spill file became unreadable
 }
 
 bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store) {

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -110,6 +112,11 @@ void FleetRunner::parallel_for(
   constexpr std::size_t kStopped = SIZE_MAX;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> published{produce ? 0 : count};
+  // The failure with the lowest index: an exception from fn on any thread
+  // stops further claims and is rethrown here once every helper has joined.
+  std::mutex error_mu;
+  std::size_t error_index = SIZE_MAX;
+  std::exception_ptr error;
   auto claim_loop = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -120,52 +127,63 @@ void FleetRunner::parallel_for(
         ready = published.load(std::memory_order_acquire);
       }
       if (ready == kStopped) return;
-      fn(i);
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard lock(error_mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+        next.store(count, std::memory_order_relaxed);
+      }
     }
   };
 
-  // The calling thread is one of the `threads` workers, so at most
-  // threads - 1 helpers run, and none when there is at most one index.
-  const auto workers = static_cast<std::size_t>(std::max(1, config_.threads));
-  const std::size_t helpers = count <= 1 ? 0 : std::min(workers, count) - 1;
-  std::vector<std::thread> pool;
-  // Joins every helper on any way out, a throwing producer or fn included:
-  // no further index is claimed, and if the producer stopped short, the
-  // helpers waiting for an index it never published are released. Only
-  // this thread writes `published`.
-  struct Joiner {
-    std::atomic<std::size_t>& next;
-    std::atomic<std::size_t>& published;
-    std::size_t count;
-    std::vector<std::thread>& pool;
-    ~Joiner() {
-      next.store(count, std::memory_order_relaxed);
-      if (published.load(std::memory_order_relaxed) < count) {
-        published.store(kStopped, std::memory_order_release);
-        published.notify_all();
+  {
+    // The calling thread is one of the `threads` workers, so at most
+    // threads - 1 helpers run, and none when there is at most one index.
+    const auto workers = static_cast<std::size_t>(std::max(1, config_.threads));
+    const std::size_t helpers = count <= 1 ? 0 : std::min(workers, count) - 1;
+    std::vector<std::thread> pool;
+    // Joins every helper on any way out of this block, a throwing producer
+    // included: no further index is claimed, and if the producer stopped
+    // short, the helpers waiting for an index it never published are
+    // released. Only this thread writes `published`.
+    struct Joiner {
+      std::atomic<std::size_t>& next;
+      std::atomic<std::size_t>& published;
+      std::size_t count;
+      std::vector<std::thread>& pool;
+      ~Joiner() {
+        next.store(count, std::memory_order_relaxed);
+        if (published.load(std::memory_order_relaxed) < count) {
+          published.store(kStopped, std::memory_order_release);
+          published.notify_all();
+        }
+        for (auto& t : pool) t.join();
       }
-      for (auto& t : pool) t.join();
-    }
-  } joiner{next, published, count, pool};
-  pool.reserve(helpers);
-  for (std::size_t t = 0; t < helpers; ++t) pool.emplace_back(claim_loop);
+    } joiner{next, published, count, pool};
+    pool.reserve(helpers);
+    for (std::size_t t = 0; t < helpers; ++t) pool.emplace_back(claim_loop);
 
-  if (produce) {
-    produce([&](std::size_t i) {
-      published.store(i + 1, std::memory_order_release);
-      published.notify_all();
-    });
+    if (produce) {
+      produce([&](std::size_t i) {
+        published.store(i + 1, std::memory_order_release);
+        published.notify_all();
+      });
+    }
+    claim_loop();
   }
-  claim_loop();
+  if (error) std::rethrow_exception(error);
 }
 
 void FleetRunner::run_supervised(const char* phase,
-                                 const std::function<void(NetworkShard&)>& fn) {
-  supervisor_.run_phase(
-      phase, sim_now_us(), [&](std::size_t i) { fn(*shards_[i]); },
-      [&](const std::function<void(std::size_t)>& body) {
-        parallel_for(shards_.size(), body);
-      });
+                                 const std::function<void(std::size_t)>& fn) {
+  supervisor_.run_phase(phase, sim_now_us(), fn,
+                        [&](const std::function<void(std::size_t)>& body) {
+                          parallel_for(shards_.size(), body);
+                        });
 }
 
 void FleetRunner::seal_all(const std::vector<bool>& keep) {
@@ -183,6 +201,10 @@ void FleetRunner::seal_all(const std::vector<bool>& keep) {
     sealed[i] = tsdb::FleetStore::seal(shards_[i]->id().value(), batch_seq[i],
                                        std::move(shards_[i]->store()));
   });
+  index_sealed(sealed);
+}
+
+void FleetRunner::index_sealed(std::vector<tsdb::FleetStore::Sealed>& sealed) {
   for (auto& batch : sealed) fleet_tsdb_.add_sealed(std::move(batch));
   if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
     // An unwritable spill dir is an I/O problem, not a simulation problem:
@@ -191,21 +213,6 @@ void FleetRunner::seal_all(const std::vector<bool>& keep) {
     std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",
                  tsdb::status_name(err.status), err.detail.c_str());
   }
-}
-
-void FleetRunner::incremental_harvest() {
-  const telemetry::Stopwatch watch;
-  const std::int64_t now_us = sim_now_us();
-  // Drains are shard-confined (poller + tunnels + local store), so they fan
-  // out like campaigns.
-  parallel_for(shards_.size(), [&](std::size_t i) {
-    if (supervisor_.quarantined(i)) return;
-    shards_[i]->drain_connected(now_us);
-  });
-  std::vector<bool> keep(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) keep[i] = !supervisor_.quarantined(i);
-  seal_all(keep);
-  telemetry::global_profiler().record("incremental_harvest", watch.seconds());
 }
 
 ApRuntime* FleetRunner::find_ap(ApId id) {
@@ -222,10 +229,33 @@ std::size_t FleetRunner::client_count() const {
 void FleetRunner::run_campaign_phase(const char* phase, double sim_hours,
                                      const std::function<void(NetworkShard&)>& fn) {
   const telemetry::Stopwatch watch;
-  run_supervised(phase, fn);
-  telemetry::global_profiler().record(phase, watch.seconds());
+  if (config_.mem_ceiling_mb == 0) {
+    run_supervised(phase, [&](std::size_t i) { fn(*shards_[i]); });
+  } else {
+    // Streaming harvest: each shard's task drains what the phase queued, at
+    // the phase's end clock, and seals it, so the frames and rows of at
+    // most `threads` shards are alive at once. Supervision covers the
+    // drain and the seal like the campaign itself. Batch numbers are read
+    // here, on this thread, before any task runs.
+    std::vector<std::uint32_t> batch_seq(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      batch_seq[i] = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
+    }
+    const std::int64_t end_us = sim_us(campaign_sim_hours_ + sim_hours);
+    std::vector<tsdb::FleetStore::Sealed> sealed(shards_.size());
+    run_supervised(phase, [&](std::size_t i) {
+      NetworkShard& shard = *shards_[i];
+      fn(shard);
+      shard.drain_connected(end_us);
+      sealed[i] =
+          tsdb::FleetStore::seal(shard.id().value(), batch_seq[i], std::move(shard.store()));
+    });
+    // The seal is each task's last step, so a quarantined shard's slot is
+    // empty: none of its attempts got that far.
+    index_sealed(sealed);
+  }
   campaign_sim_hours_ += sim_hours;
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
+  telemetry::global_profiler().record(phase, watch.seconds());
 }
 
 void FleetRunner::run_usage_week(int reports_per_week,
@@ -260,8 +290,7 @@ void FleetRunner::harvest(HarvestMode mode) {
   // store), then seal in parallel and index in fleet order (seal_all): the
   // vault's content is then independent of worker scheduling.
   const telemetry::Stopwatch drain_watch;
-  run_supervised("harvest_drain",
-                 [mode](NetworkShard& shard) { shard.harvest_local(mode); });
+  run_supervised("harvest_drain", [&](std::size_t i) { shards_[i]->harvest_local(mode); });
   telemetry::global_profiler().record("harvest_drain", drain_watch.seconds());
 
   const telemetry::Stopwatch merge_watch;

@@ -9,7 +9,8 @@
 //      so no draw depends on cross-shard scheduling;
 //   2. every mutable object a campaign touches (APs, tunnels, poller, store)
 //      is confined to its shard, so workers never contend;
-//   3. harvest seals shard stores in fleet order, so the vault's contents
+//   3. sealed shard batches are indexed in fleet order (at harvest, and
+//      under a ceiling after every campaign phase), so the vault's contents
 //      are independent of which worker ran which shard.
 //
 // Construction: the calling thread generates the fleet network by network
@@ -59,13 +60,14 @@ struct WorldConfig {
   /// bit-identical regardless of this value.
   int threads = 1;
   /// Per-shard memory ceiling in MiB; 0 runs the classic hold-until-final
-  /// harvest. Nonzero turns on streaming harvest: every campaign phase
-  /// boundary drains connected tunnels, seals each shard's batch into a
-  /// columnar tsdb segment, releases the shard's row store, and spills
-  /// sealed segments to `spill_dir` when resident segment bytes press the
-  /// ceiling. The on/off bit is determinism-relevant (phase drains add poll
-  /// cycles) and is checkpointed; the value itself is a host resource knob
-  /// like `threads` — output is bit-identical for ANY nonzero ceiling,
+  /// harvest. Nonzero turns on streaming harvest: each shard's campaign
+  /// task ends by draining its connected tunnels and sealing the phase's
+  /// batch into a columnar tsdb segment, releasing the shard's row store,
+  /// so only the shards on the workers hold queued frames and decoded rows.
+  /// Sealed segments spill to `spill_dir` when resident segment bytes press
+  /// the ceiling. The on/off bit is determinism-relevant (phase drains add
+  /// poll cycles) and is checkpointed; the value itself is a host resource
+  /// knob like `threads` — output is bit-identical for ANY nonzero ceiling,
   /// across thread counts, and across spill on/off.
   std::uint64_t mem_ceiling_mb = 0;
   /// Where sealed segments spill when the ceiling presses (see above).
@@ -222,33 +224,41 @@ class FleetRunner {
   /// to shard i's state. With `produce`, the calling thread first runs
   /// produce(publish), which must call publish(i) for i = 0, 1, ... in order
   /// once index i is ready; helpers run fn(i) only after it is published,
-  /// and the calling thread joins the claim loop when produce returns.
+  /// and the calling thread joins the claim loop when produce returns. If
+  /// `fn` throws on any thread, no further index is claimed and, once every
+  /// helper has joined, the exception of the lowest failing index is
+  /// rethrown on the calling thread.
   void parallel_for(
       std::size_t count, const std::function<void(std::size_t)>& fn,
       const std::function<void(const std::function<void(std::size_t)>&)>& produce = {});
-  /// Campaign-phase dispatch under supervision: fans `fn` out across the
-  /// worker pool with per-shard exception isolation, then lets the
-  /// supervisor restore/retry/quarantine failed shards in fleet order.
-  void run_supervised(const char* phase, const std::function<void(NetworkShard&)>& fn);
-  /// One campaign phase end to end: runs `fn` under supervision, records
-  /// its wall clock under `phase`, advances the campaign clock by
-  /// `sim_hours`, then (streaming harvest) seals what the phase produced.
+  /// Campaign-phase dispatch under supervision: fans `fn(shard index)` out
+  /// across the worker pool with per-shard exception isolation, then lets
+  /// the supervisor restore/retry/quarantine failed shards in fleet order.
+  void run_supervised(const char* phase, const std::function<void(std::size_t)>& fn);
+  /// One campaign phase end to end: runs `fn` on every shard under
+  /// supervision, advances the campaign clock by `sim_hours` and records
+  /// the phase's wall clock under `phase`. Under a ceiling (streaming
+  /// harvest) each shard's task also drains its connected tunnels at the
+  /// phase's end clock and seals the batch, so a failed drain is retried or
+  /// quarantined like the campaign; the batches of shards not quarantined
+  /// are then indexed in fleet order and the vault spills if the ceiling
+  /// presses. The recorded time includes those drains and seals.
   void run_campaign_phase(const char* phase, double sim_hours,
                           const std::function<void(NetworkShard&)>& fn);
-  /// Streaming harvest (mem_ceiling_mb > 0): drains connected tunnels in
-  /// parallel, seals each shard's batch into the segment vault (seal_all),
-  /// and spills if the ceiling presses. Runs at every campaign phase
-  /// boundary, so checkpoint cuts between phases see sealed segments.
-  void incremental_harvest();
   /// Seals every kept shard's local store on the worker pool, freeing each
-  /// store as its segment is built, then indexes the segments into the
-  /// vault serially in fleet order. Empty stores seal nothing.
+  /// store as its segment is built, then indexes the segments (index_sealed).
+  /// Empty stores seal nothing.
   void seal_all(const std::vector<bool>& keep);
+  /// Indexes sealed batches into the vault serially in fleet order (empty
+  /// ones are skipped), then spills if the ceiling presses.
+  void index_sealed(std::vector<tsdb::FleetStore::Sealed>& sealed);
+  /// Campaign clock in sim microseconds at `hours`.
+  [[nodiscard]] static std::int64_t sim_us(double hours) {
+    return static_cast<std::int64_t>(hours * 3.6e9);
+  }
   /// Sim-time stamp for supervision incidents/spans: the campaign clock at
   /// the current phase's start.
-  [[nodiscard]] std::int64_t sim_now_us() const {
-    return static_cast<std::int64_t>(campaign_sim_hours_ * 3.6e9);
-  }
+  [[nodiscard]] std::int64_t sim_now_us() const { return sim_us(campaign_sim_hours_); }
 };
 
 }  // namespace wlm::sim

@@ -1,12 +1,15 @@
 #include "tsdb/fleet_store.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <fcntl.h>
 #include <mutex>
 #include <sys/stat.h>
 #include <thread>
+#include <unistd.h>
 
 #include "ckpt/container.hpp"
 
@@ -156,23 +159,74 @@ FleetStore::SegmentInfo FleetStore::info(std::size_t i) const {
                      !seg.spill_file.empty()};
 }
 
-Error FleetStore::segment_bytes(std::size_t i, std::vector<std::uint8_t>& out) const {
-  return load_segment(segments_[i], out);
-}
+/// The spill files of one read pass. Each is opened on first use and read
+/// with pread, so the pass's decode threads share one descriptor per file
+/// instead of opening the file once per segment.
+class FleetStore::SpillHandles {
+ public:
+  SpillHandles() = default;
+  SpillHandles(const SpillHandles&) = delete;
+  SpillHandles& operator=(const SpillHandles&) = delete;
+  ~SpillHandles() {
+    for (const auto& [path, fd] : fds_) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
 
-Error FleetStore::load_segment(const Segment& seg, std::vector<std::uint8_t>& out) const {
+  /// The descriptor of `path`, or -1 when it cannot be opened.
+  int open(const std::string& path) {
+    const std::lock_guard lock(mu_);
+    const auto [it, inserted] = fds_.try_emplace(path, -1);
+    if (inserted) it->second = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    return it->second;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::string, int> fds_;  // -1: the open failed
+};
+
+Error FleetStore::segment_bytes(std::size_t i, std::vector<std::uint8_t>& out) const {
+  const Segment& seg = segments_[i];
   if (seg.spill_file.empty()) {
     out = seg.bytes;
     return {};
   }
-  std::FILE* f = std::fopen(seg.spill_file.c_str(), "rb");
-  if (f == nullptr) return {Status::kIo, "cannot open spill file " + seg.spill_file};
+  SpillHandles files;
+  return load_spilled(seg, files, out);
+}
+
+Error FleetStore::for_each_segment(
+    const std::function<void(std::size_t, std::span<const std::uint8_t>)>& fn) const {
+  SpillHandles files;
+  std::vector<std::uint8_t> scratch;
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const Segment& seg = segments_[i];
+    if (seg.size == 0) continue;
+    if (seg.spill_file.empty()) {
+      fn(i, seg.bytes);
+      continue;
+    }
+    if (auto err = load_spilled(seg, files, scratch)) return err;
+    fn(i, scratch);
+  }
+  return {};
+}
+
+Error FleetStore::load_spilled(const Segment& seg, SpillHandles& files,
+                               std::vector<std::uint8_t>& out) {
+  const int fd = files.open(seg.spill_file);
+  if (fd < 0) return {Status::kIo, "cannot open spill file " + seg.spill_file};
   out.resize(seg.size);
-  // fseeko, not fseek: spill files at paper scale run past 2 GiB, where a
-  // `long` offset truncates on 32-bit/LLP64 targets.
-  const bool sought = ::fseeko(f, static_cast<off_t>(seg.spill_offset), SEEK_SET) == 0;
-  const std::size_t got = sought ? std::fread(out.data(), 1, out.size(), f) : 0;
-  std::fclose(f);
+  // pread takes a 64-bit off_t: spill files at paper scale run past 2 GiB.
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + got, out.size() - got,
+                              static_cast<off_t>(seg.spill_offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
   if (got != out.size()) {
     return {Status::kIo, "short read from spill file " + seg.spill_file};
   }
@@ -181,14 +235,15 @@ Error FleetStore::load_segment(const Segment& seg, std::vector<std::uint8_t>& ou
   return {};
 }
 
-Error FleetStore::materialize(const Network& net, backend::ReportStore& out) const {
+Error FleetStore::materialize(const Network& net, SpillHandles& files,
+                              backend::ReportStore& out) const {
   std::vector<std::uint8_t> scratch;
   for (const std::size_t i : net.segment_idx) {
     const Segment& seg = segments_[i];
     if (seg.n_reports == 0) continue;
     std::span<const std::uint8_t> bytes = seg.bytes;
     if (!seg.spill_file.empty()) {
-      if (auto err = load_segment(seg, scratch)) return err;
+      if (auto err = load_spilled(seg, files, scratch)) return err;
       bytes = scratch;
     }
     if (auto err = SegmentReader::for_each(
@@ -222,6 +277,7 @@ void FleetStore::visit(const std::function<void(const backend::ReportStore&)>& d
   // exist at a time.
   const std::size_t window = 8 * (helpers + 1);
   std::vector<Decoded> slots(window);
+  SpillHandles files;
   std::mutex mu;
   std::condition_variable cv;
   std::size_t next_claim = 0;      // first network nobody has started decoding
@@ -239,7 +295,7 @@ void FleetStore::visit(const std::function<void(const backend::ReportStore&)>& d
       lock.unlock();
       Decoded& slot = slots[i % window];
       try {
-        slot.err = materialize(*nets[i], slot.store);
+        slot.err = materialize(*nets[i], files, slot.store);
       } catch (...) {
         slot.thrown = std::current_exception();
       }
@@ -277,7 +333,7 @@ void FleetStore::visit(const std::function<void(const backend::ReportStore&)>& d
         // No helper got to it yet: decode it here rather than wait.
         ++next_claim;
         lock.unlock();
-        slot.err = materialize(*nets[i], slot.store);
+        slot.err = materialize(*nets[i], files, slot.store);
       } else {
         cv.wait(lock, [&] { return slot.ready; });
       }

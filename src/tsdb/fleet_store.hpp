@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,11 @@ class FleetStore final : public backend::ReportSource {
   [[nodiscard]] SegmentInfo info(std::size_t i) const;
   /// Materializes segment i's bytes (from memory or its spill file).
   [[nodiscard]] Error segment_bytes(std::size_t i, std::vector<std::uint8_t>& out) const;
+  /// Hands every live (size > 0) segment's index and bytes to `fn` in vault
+  /// order, reading spilled ones through one open handle per spill file.
+  /// Returns the first read failure; `fn` sees no segment after it.
+  [[nodiscard]] Error for_each_segment(
+      const std::function<void(std::size_t, std::span<const std::uint8_t>)>& fn) const;
 
   [[nodiscard]] const FleetStoreStats& stats() const { return stats_; }
   /// First read-path failure, if any: ReportSource visitors cannot return
@@ -163,10 +169,16 @@ class FleetStore final : public backend::ReportSource {
     std::uint64_t reports = 0;
   };
 
-  [[nodiscard]] Error load_segment(const Segment& seg, std::vector<std::uint8_t>& out) const;
+  /// The spill files one read pass has opened (see fleet_store.cpp).
+  class SpillHandles;
+
+  /// Reads a spilled segment's bytes into `out`.
+  [[nodiscard]] static Error load_spilled(const Segment& seg, SpillHandles& files,
+                                          std::vector<std::uint8_t>& out);
   /// Decodes one network's segments into a scratch row store (canonical
   /// order within the network). Touches no vault state: safe on any thread.
-  [[nodiscard]] Error materialize(const Network& net, backend::ReportStore& out) const;
+  [[nodiscard]] Error materialize(const Network& net, SpillHandles& files,
+                                  backend::ReportStore& out) const;
   /// Materializes every network, ascending by id, and hands each scratch
   /// store to `deliver` on the calling thread (see Threading above).
   void visit(const std::function<void(const backend::ReportStore&)>& deliver) const;

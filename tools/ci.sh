@@ -297,6 +297,31 @@ failsafe_smoke() {
     }
   done
 
+  # Under a ceiling each phase drains inside its shard's task, so the same
+  # kill fires in the usage week: still degraded, still the same bytes at
+  # every --jobs.
+  for jobs in 1 2 8; do
+    rc=0
+    ./build/tools/wlmctl simulate "${flags[@]}" --jobs "${jobs}" \
+      --failpoints "${kill_spec}" --max-shard-retries 1 \
+      --mem-ceiling-mb 1 --spill-dir "${dir}/spill-j${jobs}" \
+      > "${dir}/ceiling-j${jobs}.out" 2> /dev/null || rc=$?
+    if [[ "${rc}" -ne 3 ]]; then
+      echo "failsafe smoke: kill-one-shard run under a ceiling exited ${rc} at --jobs ${jobs}, want 3" >&2
+      exit 1
+    fi
+  done
+  grep -q "\[quarantined\] network 3 in usage_week" "${dir}/ceiling-j1.out" || {
+    echo "failsafe smoke: ceiling manifest does not quarantine network 3 in usage_week" >&2
+    exit 1
+  }
+  for jobs in 2 8; do
+    cmp "${dir}/ceiling-j1.out" "${dir}/ceiling-j${jobs}.out" || {
+      echo "failsafe smoke: degraded output under a ceiling differs at --jobs ${jobs}" >&2
+      exit 1
+    }
+  done
+
   # Transient failure + retry: byte-identical to the unfaulted run.
   ./build/tools/wlmctl simulate "${flags[@]}" --jobs 2 > "${dir}/clean.out"
   ./build/tools/wlmctl simulate "${flags[@]}" --jobs 2 \
@@ -319,7 +344,7 @@ failsafe_smoke() {
     echo "failsafe smoke: missing-checkpoint resume lacked a diagnostic" >&2
     exit 1
   }
-  echo "failsafe smoke: degraded completion deterministic, retry recovers, resume I/O typed"
+  echo "failsafe smoke: degraded completion deterministic with and without a ceiling, retry recovers, resume I/O typed"
 }
 failsafe_smoke
 
@@ -375,6 +400,38 @@ EOF
     echo "fullscale smoke: 1 MiB ceiling never spilled" >&2
     exit 1
   }
+
+  # The ceiling must bound something: a 300-network campaign under an
+  # 8 MiB ceiling seals each shard's batch in its own task, so it must
+  # peak at no more than 0.8x the same campaign without a ceiling. Each
+  # run is its own child, its peak RSS read from its own rusage.
+  if command -v python3 > /dev/null 2>&1; then
+    python3 - "${dir}" << 'EOF'
+import os, subprocess, sys
+outdir = sys.argv[1]
+base = ["./build/tools/wlmctl", "simulate", "--networks", "300", "--seed", "5", "--jobs", "2"]
+
+def peak_kb(name, extra):
+    with open(f"{outdir}/{name}.out", "wb") as out:
+        proc = subprocess.Popen(base + extra, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.exit(f"fullscale smoke: {name} run exited {proc.returncode}")
+    return usage.ru_maxrss
+
+ceiling_kb = peak_kb("bound-ceiling",
+                     ["--mem-ceiling-mb", "8", "--spill-dir", f"{outdir}/bound-spill"])
+free_kb = peak_kb("bound-none", [])
+ratio = ceiling_kb / free_kb
+print(f"fullscale smoke: 300 networks peak RSS {ceiling_kb} KB with an 8 MiB ceiling, "
+      f"{free_kb} KB without ({ratio:.2f}x, bound 0.80x)")
+if ratio > 0.8:
+    sys.exit("fullscale smoke: the 8 MiB ceiling does not bound the campaign's peak RSS")
+EOF
+  else
+    echo "fullscale smoke: ceiling RSS comparison skipped (no python3)"
+  fi
   cmp "${dir}/resident.out" "${dir}/spilled.out" || {
     echo "fullscale smoke: spilled stdout differs from the unspilled run" >&2
     exit 1
