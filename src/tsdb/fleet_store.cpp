@@ -41,11 +41,9 @@ void FleetStore::append_store(std::uint32_t network_id, backend::ReportStore&& s
 }
 
 Error FleetStore::adopt_segment(std::vector<std::uint8_t> bytes) {
-  if (auto err = SegmentReader::validate(bytes)) return err;
   SegmentHeader hdr;
-  if (auto err = SegmentReader::read_header(bytes, hdr)) return err;
   Sealed sealed;
-  if (auto err = SegmentReader::ap_ids(bytes, sealed.ap_ids)) return err;
+  if (auto err = SegmentReader::validate(bytes, &hdr, &sealed.ap_ids)) return err;
   sealed.network_id = hdr.network_id;
   sealed.batch_seq = hdr.batch_seq;
   sealed.n_reports = hdr.n_reports;

@@ -58,6 +58,8 @@ inline constexpr std::array<std::uint8_t, 8> kMagic = {'W', 'L', 'M', 'T',
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// Column ids. Append, never renumber (same contract as the wire format).
+/// Each id has one entry in segment.cpp's column table and one line in a
+/// fields() list there; a new last id also moves kColumnSlots.
 enum class ColumnId : std::uint8_t {
   kApId = 1,       // per report, ascending (canonical order)
   kTimestamp = 2,  // per report, near-sorted within an AP
@@ -99,6 +101,9 @@ enum class ColumnId : std::uint8_t {
   kMeshHops = 35,
   kMeshRelayUs = 36,
 };
+
+/// Slots of an array indexed by column id: one past the last id.
+inline constexpr std::size_t kColumnSlots = static_cast<std::size_t>(ColumnId::kMeshRelayUs) + 1;
 
 /// RSSI columns switch from dictionary to raw fixed64 past this many
 /// distinct values (a dictionary larger than the rows it indexes inflates).

@@ -1,13 +1,14 @@
 // Columnar segment writer/reader (format in tsdb/format.hpp).
 //
 // SegmentWriter shreds wire::ApReports — appended in canonical order
-// (ascending AP id, per-AP arrival order) — into per-field column vectors
-// and seals them into one immutable, CRC-guarded byte block. SegmentReader
+// (ascending AP id, per-AP arrival order) — into one column per field and
+// seals them into one immutable, CRC-guarded byte block. SegmentReader
 // is the adversarial inverse: it validates structure, CRCs, and count
 // consistency before reassembling a single report, and surfaces every
 // failure as a typed tsdb::Error.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -46,7 +47,9 @@ class SegmentWriter {
   /// canonical order; the writer does not reorder.
   void add(const wire::ApReport& report);
 
-  [[nodiscard]] std::size_t report_count() const { return ap_ids_.size(); }
+  [[nodiscard]] std::size_t report_count() const {
+    return columns_[static_cast<std::size_t>(ColumnId::kApId)].size();
+  }
   /// Total bytes the row-oriented wire encoding of the appended reports
   /// takes — the compression-ratio baseline, carried in the header.
   [[nodiscard]] std::uint64_t raw_wire_bytes() const { return raw_wire_bytes_; }
@@ -62,27 +65,9 @@ class SegmentWriter {
   std::uint32_t batch_seq_;
   std::uint64_t raw_wire_bytes_ = 0;
   std::vector<std::uint32_t> distinct_aps_;
-
-  // Per-report columns.
-  std::vector<std::uint64_t> ap_ids_, firmware_;
-  std::vector<std::int64_t> timestamps_;
-  std::vector<std::uint64_t> n_usage_, n_util_, n_nbr_, n_link_, n_client_;
-  // Mesh backhaul columns ride along but seal only when any report relayed
-  // (any_mesh_), keeping non-mesh segments byte-identical to the pre-mesh
-  // format.
-  std::vector<std::uint64_t> mesh_hops_, mesh_relay_us_;
-  bool any_mesh_ = false;
-  // Child-row columns (MACs raw here; dict-indexed at seal).
-  std::vector<std::uint64_t> usage_client_, usage_app_, usage_tx_, usage_rx_;
-  std::vector<std::uint64_t> util_band_, util_cycle_, util_busy_, util_rxf_, util_tx_;
-  std::vector<std::int64_t> util_channel_;
-  std::vector<std::uint64_t> nbr_bssid_, nbr_band_, nbr_flags_;
-  std::vector<std::int64_t> nbr_channel_;
-  std::vector<double> nbr_rssi_;
-  std::vector<std::int64_t> link_from_, link_channel_;
-  std::vector<std::uint64_t> link_band_, link_expected_, link_received_;
-  std::vector<std::uint64_t> client_mac_, client_caps_, client_band_, client_os_;
-  std::vector<double> client_rssi_;
+  // One column per id, rows in append order: f64 values as their bit
+  // patterns, MACs raw until seal() ranks them in the segment dictionary.
+  std::array<std::vector<std::uint64_t>, kColumnSlots> columns_;
 };
 
 /// Header fields every segment carries before its blocks.
@@ -104,18 +89,17 @@ class SegmentReader {
 
   /// Full structural validation: header, every block frame, every CRC, the
   /// segment trailer CRC, and cross-block count consistency — without
-  /// assembling reports.
-  [[nodiscard]] static Error validate(std::span<const std::uint8_t> bytes);
+  /// assembling reports. On success fills `header` and `ap_ids` (the
+  /// distinct AP ids, in column order) when they are given.
+  [[nodiscard]] static Error validate(std::span<const std::uint8_t> bytes,
+                                      SegmentHeader* header = nullptr,
+                                      std::vector<std::uint32_t>* ap_ids = nullptr);
 
   /// Decodes every report in append order. Runs validate() first; on any
   /// error nothing is emitted.
   [[nodiscard]] static Error for_each(
       std::span<const std::uint8_t> bytes,
       const std::function<void(wire::ApReport&&)>& fn);
-
-  /// Distinct AP ids in the segment, ascending.
-  [[nodiscard]] static Error ap_ids(std::span<const std::uint8_t> bytes,
-                                    std::vector<std::uint32_t>& out);
 };
 
 }  // namespace wlm::tsdb

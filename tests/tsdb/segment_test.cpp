@@ -1,5 +1,5 @@
-// SegmentWriter/SegmentReader: roundtrip fidelity, header metadata,
-// summary-based pruning, and sealed-byte determinism.
+// SegmentWriter/SegmentReader: roundtrip fidelity, header metadata, the
+// validating parse's summary, and sealed-byte determinism.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -123,13 +123,18 @@ TEST(Segment, HeaderCarriesCountsAndBaseline) {
   EXPECT_GT(header.n_blocks, 0u);
 }
 
-TEST(Segment, SummariesAnswerWithoutDecode) {
+TEST(Segment, ValidateReturnsHeaderAndApIds) {
   const auto reports = make_batch(3, 3, 4);
-  const auto bytes = seal_batch(reports);
+  const auto bytes = seal_batch(reports, /*network=*/7, /*batch=*/5);
 
+  tsdb::SegmentHeader header;
   std::vector<std::uint32_t> aps;
-  ASSERT_FALSE(tsdb::SegmentReader::ap_ids(bytes, aps));
+  ASSERT_FALSE(tsdb::SegmentReader::validate(bytes, &header, &aps));
   EXPECT_EQ(aps, (std::vector<std::uint32_t>{100, 101, 102}));
+  EXPECT_EQ(header.network_id, 7u);
+  EXPECT_EQ(header.batch_seq, 5u);
+  EXPECT_EQ(header.n_reports, reports.size());
+  EXPECT_EQ(header.n_aps, 3u);
 }
 
 TEST(Segment, SealedBytesAreDeterministic) {
