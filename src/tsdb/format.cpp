@@ -20,6 +20,8 @@ const char* status_name(Status s) {
       return "malformed";
     case Status::kBadCount:
       return "bad-count";
+    case Status::kNotCanonical:
+      return "not-canonical";
   }
   return "unknown";
 }

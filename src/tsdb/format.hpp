@@ -15,13 +15,15 @@
 // compression comes from dropping the row format's per-field tags, delta
 // coding the sorted streams (AP ids, timestamps, channels), and dictionary
 // coding the two heavy repeated values (client/BSSID MACs, RSSI doubles).
-// Per-block min/max summaries are validated against the decoded rows; no
-// reader prunes on them, because every analysis window covers the whole run.
+// Integer blocks carry min/max summaries of their rows; no reader prunes on
+// them, because every analysis window covers the whole run.
 //
-// Like the checkpoint container, the reader is adversarial by construction:
-// truncations, flipped bits, bumped versions, and CRC-valid but internally
-// inconsistent counts all surface as a typed Status, never a crash or a
-// partial parse (tests/tsdb/segment_fuzz_test.cpp holds this line).
+// A segment is valid exactly when SegmentWriter would seal its bytes:
+// SegmentReader::validate decodes, re-seals and compares. Like the
+// checkpoint container, the reader is adversarial by construction:
+// truncations, flipped bits, bumped versions, and CRC-valid bytes the
+// writer would not produce all surface as a typed Status, never a crash or
+// a partial parse (tests/tsdb/segment_fuzz_test.cpp holds this line).
 #pragma once
 
 #include <array>
@@ -40,6 +42,7 @@ enum class Status : std::uint8_t {
   kBadCrc,      // a block payload or the segment trailer failed its CRC
   kMalformed,   // syntactically broken block content
   kBadCount,    // CRC-valid but internally inconsistent row/report counts
+  kNotCanonical,  // decodes, but is not what the writer seals for its reports
 };
 
 [[nodiscard]] const char* status_name(Status s);
@@ -107,7 +110,7 @@ inline constexpr std::size_t kColumnSlots = static_cast<std::size_t>(ColumnId::k
 
 /// RSSI columns switch from dictionary to raw fixed64 past this many
 /// distinct values (a dictionary larger than the rows it indexes inflates).
-/// Readers reject a kDictF64 block with a larger dictionary.
+/// The writer never seals a kDictF64 block with a larger dictionary.
 inline constexpr std::size_t kMaxF64Dict = 4096;
 
 /// Per-block payload encodings. Integer columns pick whichever of

@@ -3,9 +3,9 @@
 // SegmentWriter shreds wire::ApReports — appended in canonical order
 // (ascending AP id, per-AP arrival order) — into one column per field and
 // seals them into one immutable, CRC-guarded byte block. SegmentReader
-// is the adversarial inverse: it validates structure, CRCs, and count
-// consistency before reassembling a single report, and surfaces every
-// failure as a typed tsdb::Error.
+// is the adversarial inverse: it checks frames, CRCs and row counts before
+// reassembling a single report, validate() accepts only the bytes the
+// writer would seal, and every failure surfaces as a typed tsdb::Error.
 #pragma once
 
 #include <array>
@@ -87,16 +87,17 @@ class SegmentReader {
   [[nodiscard]] static Error read_header(std::span<const std::uint8_t> bytes,
                                          SegmentHeader& out);
 
-  /// Full structural validation: header, every block frame, every CRC, the
-  /// segment trailer CRC, and cross-block count consistency — without
-  /// assembling reports. On success fills `header` and `ap_ids` (the
-  /// distinct AP ids, in column order) when they are given.
+  /// Accepts exactly the writer's output: parses as for_each() does, then
+  /// returns kNotCanonical unless the AP column ascends and re-sealing the
+  /// decoded columns under this header reproduces `bytes`. On success fills
+  /// `header` and `ap_ids` (the distinct AP ids) when they are given.
   [[nodiscard]] static Error validate(std::span<const std::uint8_t> bytes,
                                       SegmentHeader* header = nullptr,
                                       std::vector<std::uint32_t>* ap_ids = nullptr);
 
-  /// Decodes every report in append order. Runs validate() first; on any
-  /// error nothing is emitted.
+  /// Decodes every report in append order, checking only frames, CRCs and
+  /// row counts: for segments this process sealed or validated. Any error
+  /// it returns, validate() returns too; on error nothing is emitted.
   [[nodiscard]] static Error for_each(
       std::span<const std::uint8_t> bytes,
       const std::function<void(wire::ApReport&&)>& fn);

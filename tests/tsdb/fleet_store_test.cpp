@@ -184,6 +184,24 @@ TEST(FleetStore, AdoptRejectsGarbageTyped) {
   EXPECT_EQ(store.report_count(), 0u);
 }
 
+TEST(FleetStore, AdoptRefusesADescendingApColumn) {
+  // The writer seals reports in the order it is fed; a segment whose AP
+  // column reads [5, 3] is CRC-valid but not canonical, and indexing it
+  // would merge an unsorted AP id list into the network's.
+  Fixture f = make_fixture();
+  const std::size_t segments = f.fleet.segment_count();
+  const auto flat = flatten(f.fleet);
+  tsdb::SegmentWriter writer(2, 7);
+  Rng rng(5);
+  writer.add(make_report(105, 600'000'000, rng));
+  writer.add(make_report(103, 600'000'000, rng));
+  const auto err = f.fleet.adopt_segment(writer.seal());
+  EXPECT_EQ(err.status, tsdb::Status::kNotCanonical) << err.detail;
+  EXPECT_EQ(f.fleet.segment_count(), segments);
+  EXPECT_EQ(f.fleet.next_batch_seq(2), 1u);
+  EXPECT_EQ(flatten(f.fleet), flat);
+}
+
 TEST(FleetStore, DropNetworkRemovesItsReportsOnly) {
   Fixture f = make_fixture();
   const std::size_t before = f.fleet.report_count();
