@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/checksum.hpp"
+#include "failsafe/failpoint.hpp"
 #include "telemetry/profile.hpp"
 #include "wire/messages.hpp"
 
@@ -129,6 +130,32 @@ TEST(FleetRunner, HarvestDrainsEveryTunnel) {
   // Shard-local stores were sealed into the segment vault.
   for (const auto& shard : runner.shards()) {
     EXPECT_EQ(shard->store().report_count(), 0u);
+  }
+}
+
+TEST(FleetRunner, HarvestLeavesNoShardRowsStaged) {
+  // Each shard's harvest task seals what it drained, so no decoded row
+  // waits in a shard store once harvest returns: not in a kept shard, and
+  // not in one whose merge the harvest.merge failpoint refuses (its batch
+  // is dropped with it).
+  struct Disarm {
+    Disarm() { failsafe::failpoints().disarm_all(); }
+    ~Disarm() { failsafe::failpoints().disarm_all(); }
+  } disarm;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    FleetRunner runner(small_fleet(8, 11, threads));
+    const std::uint32_t victim = runner.shards()[3]->id().value();
+    ASSERT_TRUE(failsafe::failpoints().arm_list(
+        "site=harvest.merge,net=" + std::to_string(victim) + ",action=error"));
+    runner.run_usage_week(7);
+    runner.harvest();
+    failsafe::failpoints().disarm_all();
+    ASSERT_TRUE(runner.supervisor().quarantined(3));
+    for (const auto& shard : runner.shards()) {
+      EXPECT_EQ(shard->store().report_count(), 0u) << "network " << shard->id().value();
+    }
+    EXPECT_GT(runner.fleet_tsdb().stats().reports, 0u);
   }
 }
 
