@@ -186,25 +186,28 @@ void FleetRunner::run_supervised(const char* phase,
                         });
 }
 
-void FleetRunner::seal_all(const std::vector<bool>& keep) {
-  // A segment's bytes depend only on its shard's rows, so the seal fans out
-  // like the drain. Indexing runs serially in fleet order afterwards, so
-  // the vault's segment order is independent of worker scheduling. Each
-  // worker frees its shard's row store as soon as the segment exists.
-  std::vector<std::uint32_t> batch_seq(shards_.size(), 0);
+std::vector<tsdb::FleetStore::Sealed> FleetRunner::run_sealed(
+    const char* phase, const std::function<void(NetworkShard&)>& work) {
+  // A segment's bytes depend only on its shard's rows, so each task seals
+  // its own shard and frees the shard's row store as soon as the segment
+  // exists. Batch numbers are read here, on this thread, before any task
+  // runs; the caller indexes the batches serially in fleet order, so the
+  // vault's segment order is independent of worker scheduling.
+  std::vector<std::uint32_t> batch_seq(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (keep[i]) batch_seq[i] = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
+    batch_seq[i] = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
   }
   std::vector<tsdb::FleetStore::Sealed> sealed(shards_.size());
-  parallel_for(shards_.size(), [&](std::size_t i) {
-    if (!keep[i]) return;
-    sealed[i] = tsdb::FleetStore::seal(shards_[i]->id().value(), batch_seq[i],
-                                       std::move(shards_[i]->store()));
+  run_supervised(phase, [&](std::size_t i) {
+    NetworkShard& shard = *shards_[i];
+    work(shard);
+    sealed[i] =
+        tsdb::FleetStore::seal(shard.id().value(), batch_seq[i], std::move(shard.store()));
   });
-  index_sealed(sealed);
+  return sealed;
 }
 
-void FleetRunner::index_sealed(std::vector<tsdb::FleetStore::Sealed>& sealed) {
+void FleetRunner::index_sealed(std::vector<tsdb::FleetStore::Sealed> sealed) {
   for (auto& batch : sealed) fleet_tsdb_.add_sealed(std::move(batch));
   if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
     // An unwritable spill dir is an I/O problem, not a simulation problem:
@@ -235,24 +238,12 @@ void FleetRunner::run_campaign_phase(const char* phase, double sim_hours,
     // Streaming harvest: each shard's task drains what the phase queued, at
     // the phase's end clock, and seals it, so the frames and rows of at
     // most `threads` shards are alive at once. Supervision covers the
-    // drain and the seal like the campaign itself. Batch numbers are read
-    // here, on this thread, before any task runs.
-    std::vector<std::uint32_t> batch_seq(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      batch_seq[i] = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
-    }
+    // drain and the seal like the campaign itself.
     const std::int64_t end_us = sim_us(campaign_sim_hours_ + sim_hours);
-    std::vector<tsdb::FleetStore::Sealed> sealed(shards_.size());
-    run_supervised(phase, [&](std::size_t i) {
-      NetworkShard& shard = *shards_[i];
+    index_sealed(run_sealed(phase, [&](NetworkShard& shard) {
       fn(shard);
       shard.drain_connected(end_us);
-      sealed[i] =
-          tsdb::FleetStore::seal(shard.id().value(), batch_seq[i], std::move(shard.store()));
-    });
-    // The seal is each task's last step, so a quarantined shard's slot is
-    // empty: none of its attempts got that far.
-    index_sealed(sealed);
+    }));
   }
   campaign_sim_hours_ += sim_hours;
   telemetry::global_profiler().record(phase, watch.seconds());
@@ -286,26 +277,28 @@ void FleetRunner::run_link_windows(SimTime t) {
 }
 
 void FleetRunner::harvest(HarvestMode mode) {
-  // Drain in parallel (each poller touches only its shard's tunnels and
-  // store), then seal in parallel and index in fleet order (seal_all): the
-  // vault's content is then independent of worker scheduling.
+  // Each shard's task drains its tunnels (its poller touches only its own
+  // tunnels and store) and seals what it drained, so the decoded rows of at
+  // most `threads` shards are alive at once. The merge then indexes the
+  // kept batches serially in fleet order and rebuilds the telemetry.
   const telemetry::Stopwatch drain_watch;
-  run_supervised("harvest_drain", [&](std::size_t i) { shards_[i]->harvest_local(mode); });
+  std::vector<tsdb::FleetStore::Sealed> sealed =
+      run_sealed("harvest_drain", [mode](NetworkShard& shard) { shard.harvest_local(mode); });
   telemetry::global_profiler().record("harvest_drain", drain_watch.seconds());
 
   const telemetry::Stopwatch merge_watch;
   const std::int64_t now_us = sim_now_us();
-  std::vector<bool> keep(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     // guard_merge is false for quarantined shards (their work is accounted
     // as lost_supervision, never merged) and for shards the harvest.merge
     // failpoint just quarantined. A quarantined shard may have sealed
     // batches earlier (streaming harvest runs before the failure): those
-    // are dropped too, so no partial work reaches any analysis.
-    keep[i] = supervisor_.guard_merge(i, now_us);
-    if (!keep[i]) fleet_tsdb_.drop_network(shards_[i]->id().value());
+    // are dropped with this one, so no partial work reaches any analysis.
+    if (supervisor_.guard_merge(i, now_us)) continue;
+    sealed[i] = {};
+    fleet_tsdb_.drop_network(shards_[i]->id().value());
   }
-  seal_all(keep);
+  index_sealed(std::move(sealed));
 
   // Rebuild the merged telemetry from scratch each harvest: shard registries
   // and recorders are cumulative, so re-merging (not appending) keeps a

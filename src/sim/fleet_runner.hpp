@@ -1,6 +1,6 @@
 // The fleet runtime: partitions a generated fleet into per-network shards,
 // fans campaigns out across a worker pool, and seals the shard-local report
-// stores into one columnar segment vault at harvest.
+// stores into one columnar segment vault, each shard in its own task.
 //
 // Determinism contract: for a fixed WorldConfig (minus `threads`), every
 // byte of simulated output is identical for any thread count, including 1.
@@ -137,11 +137,12 @@ class FleetRunner {
   /// reported (Figure 3).
   void run_link_windows(SimTime t);
 
-  /// Drains each shard's tunnels into its local store in parallel, then
-  /// seals the shard stores into the segment vault in fleet order. kFinal
-  /// reconnects every tunnel first (queued reports must survive a WAN
-  /// outage, per the paper's §2 design); kWeekEnd leaves APs inside a
-  /// still-open outage offline, their backlog in flight.
+  /// Drains each shard's tunnels and seals what it drained, one supervised
+  /// task per shard on the worker pool, then indexes the kept shards'
+  /// batches into the segment vault in fleet order and rebuilds the merged
+  /// telemetry. kFinal reconnects every tunnel first (queued reports must
+  /// survive a WAN outage, per the paper's §2 design); kWeekEnd leaves APs
+  /// inside a still-open outage offline, their backlog in flight.
   void harvest(HarvestMode mode = HarvestMode::kFinal);
 
   /// Runs `fn(index, link)` for every mesh link, where `index` is the
@@ -238,20 +239,22 @@ class FleetRunner {
   /// One campaign phase end to end: runs `fn` on every shard under
   /// supervision, advances the campaign clock by `sim_hours` and records
   /// the phase's wall clock under `phase`. Under a ceiling (streaming
-  /// harvest) each shard's task also drains its connected tunnels at the
-  /// phase's end clock and seals the batch, so a failed drain is retried or
-  /// quarantined like the campaign; the batches of shards not quarantined
-  /// are then indexed in fleet order and the vault spills if the ceiling
-  /// presses. The recorded time includes those drains and seals.
+  /// harvest) the phase runs through run_sealed: each shard's task also
+  /// drains its connected tunnels at the phase's end clock and seals the
+  /// batch, so a failed drain is retried or quarantined like the campaign;
+  /// the batches are then indexed in fleet order and the vault spills if
+  /// the ceiling presses. The recorded time includes those drains and seals.
   void run_campaign_phase(const char* phase, double sim_hours,
                           const std::function<void(NetworkShard&)>& fn);
-  /// Seals every kept shard's local store on the worker pool, freeing each
-  /// store as its segment is built, then indexes the segments (index_sealed).
-  /// Empty stores seal nothing.
-  void seal_all(const std::vector<bool>& keep);
+  /// Runs `work(shard)` then seals the shard's staged rows, one supervised
+  /// task per shard, and returns the sealed batches in fleet order. The
+  /// seal is each task's last step, so a quarantined shard's slot is empty:
+  /// none of its attempts got that far. Empty stores seal nothing.
+  [[nodiscard]] std::vector<tsdb::FleetStore::Sealed> run_sealed(
+      const char* phase, const std::function<void(NetworkShard&)>& work);
   /// Indexes sealed batches into the vault serially in fleet order (empty
   /// ones are skipped), then spills if the ceiling presses.
-  void index_sealed(std::vector<tsdb::FleetStore::Sealed>& sealed);
+  void index_sealed(std::vector<tsdb::FleetStore::Sealed> sealed);
   /// Campaign clock in sim microseconds at `hours`.
   [[nodiscard]] static std::int64_t sim_us(double hours) {
     return static_cast<std::int64_t>(hours * 3.6e9);
