@@ -38,13 +38,17 @@ std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
   // so the checkpoint stands alone. If a spill file has become unreadable,
   // the section keeps its leading report total but carries zero segments:
   // any attempt to restore then fails the count cross-check loudly instead
-  // of silently resuming without the harvested reports.
+  // of silently resuming without the harvested reports. The section is
+  // sized from the segment index before it is built, and the container
+  // before it is appended, so neither grows by doubling.
   Buf fleet_store;
+  fleet_store.reserve(fleet_segments_size(runner.fleet_tsdb()));
   if (!save_fleet_segments(fleet_store, runner.fleet_tsdb())) {
     fleet_store = Buf{};
     fleet_store.u64(runner.fleet_tsdb().stats().reports);
     fleet_store.u64(0);  // zero segments: poisoned on purpose
   }
+  w.reserve(Writer::framed_size(SectionTag::kFleetStore, fleet_store.data().size()));
   w.add_section(SectionTag::kFleetStore, fleet_store.take());
 
   Buf fleet_telemetry;

@@ -143,6 +143,11 @@ Writer::Writer() : out_(std::begin(kMagic), std::end(kMagic)) {
   put_u32_le(out_, 0);  // section count, patched by finish()
 }
 
+std::size_t Writer::framed_size(SectionTag tag, std::size_t payload_size) {
+  return wire::varint_size(static_cast<std::uint64_t>(tag)) + wire::varint_size(payload_size) +
+         4 + payload_size;
+}
+
 void Writer::add_section(SectionTag tag, std::span<const std::uint8_t> payload) {
   wire::put_varint(out_, static_cast<std::uint64_t>(tag));
   wire::put_varint(out_, payload.size());

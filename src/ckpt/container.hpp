@@ -118,6 +118,10 @@ class Buf {
   /// A Buf never stops; Cursor::live() is the reading side's answer.
   [[nodiscard]] bool live() const { return true; }
 
+  /// Makes room for `bytes` more payload bytes, so a payload whose size is
+  /// known up front is written into one allocation of its final size.
+  void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return out_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
 
@@ -300,6 +304,11 @@ void expect(Io& io, T world) {
 class Writer {
  public:
   Writer();
+  /// Bytes add_section appends for a payload of `payload_size` bytes.
+  [[nodiscard]] static std::size_t framed_size(SectionTag tag, std::size_t payload_size);
+  /// Makes room for `bytes` more container bytes (framed_size of each
+  /// section to come), so appending them never moves the buffer.
+  void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
   /// Frames `payload` (tag, length, CRC) onto the end of the container.
   void add_section(SectionTag tag, std::span<const std::uint8_t> payload);
   /// Patches the section count into the header and hands over the

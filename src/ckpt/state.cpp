@@ -10,6 +10,7 @@
 #include "fault/spec.hpp"
 #include "sim/link.hpp"
 #include "wire/messages.hpp"
+#include "wire/varint.hpp"
 
 // The field list of every checkpointed type ("field lists" in
 // ckpt/container.hpp; the checks' placement is DESIGN.md §4d's). Classes
@@ -557,6 +558,19 @@ bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store) {
         fields(b, record);
       });
   return err.ok();  // not ok: a spill file became unreadable
+}
+
+std::size_t fleet_segments_size(const tsdb::FleetStore& store) {
+  std::uint64_t live = 0;
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < store.segment_count(); ++i) {
+    const auto info = store.info(i);
+    if (info.size == 0) continue;
+    ++live;
+    records += wire::varint_size(info.network_id) + wire::varint_size(info.batch_seq) +
+               wire::varint_size(info.n_reports) + wire::varint_size(info.size) + info.size;
+  }
+  return wire::varint_size(store.stats().reports) + wire::varint_size(live) + records;
 }
 
 bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store) {

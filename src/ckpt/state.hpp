@@ -88,6 +88,9 @@ void save(Buf& b, const failsafe::DegradedRunManifest& manifest);
 // returns false if a spill file has gone unreadable. load adopts each
 // segment through its own header/CRC validation.
 [[nodiscard]] bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store);
+/// The payload bytes save_fleet_segments writes for `store` when every
+/// spilled segment reads back, computed from the segment index alone.
+[[nodiscard]] std::size_t fleet_segments_size(const tsdb::FleetStore& store);
 [[nodiscard]] bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store);
 
 // One shard's full mutable state: the campaign container's kShard payload,

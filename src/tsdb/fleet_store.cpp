@@ -107,9 +107,15 @@ Error FleetStore::maybe_spill() {
   // simulating own the rest.
   if (stats_.resident_bytes <= mem_ceiling_bytes_ / 4) return {};
 
+  // The container is sized from the resident segments before any is
+  // framed, so it is allocated once instead of growing by doubling.
   std::vector<std::size_t> resident;
+  std::size_t framed = 0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i].spill_file.empty() && !segments_[i].bytes.empty()) resident.push_back(i);
+    if (segments_[i].spill_file.empty() && !segments_[i].bytes.empty()) {
+      resident.push_back(i);
+      framed += ckpt::Writer::framed_size(ckpt::SectionTag::kTsdbSegments, segments_[i].size);
+    }
   }
   if (resident.empty()) return {};
 
@@ -120,6 +126,7 @@ Error FleetStore::maybe_spill() {
   const std::string path = spill_dir_ + "/" + name;
 
   ckpt::Writer writer;
+  writer.reserve(framed);
   for (const std::size_t i : resident) {
     writer.add_section(ckpt::SectionTag::kTsdbSegments, segments_[i].bytes);
   }

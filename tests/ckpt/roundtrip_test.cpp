@@ -72,6 +72,27 @@ TEST(CkptContainer, WriterReaderRoundTrip) {
   EXPECT_FALSE(r.find(ckpt::SectionTag::kConfig).has_value());
 }
 
+TEST(CkptContainer, FramedSizeReservesTheExactContainer) {
+  // framed_size is what add_section appends, so a writer reserved for the
+  // sum of its sections ends with no spare capacity: a smaller figure would
+  // force a reallocation, a larger one would leave bytes unused.
+  const std::vector<std::pair<ckpt::SectionTag, std::size_t>> sections = {
+      {ckpt::SectionTag::kMeta, 0},
+      {ckpt::SectionTag::kShard, 127},
+      {ckpt::SectionTag::kTsdbSegments, 128},
+      {ckpt::SectionTag::kFleetStore, 20000}};
+  std::size_t framed = 0;
+  for (const auto& [tag, size] : sections) framed += ckpt::Writer::framed_size(tag, size);
+  ckpt::Writer w;
+  w.reserve(framed);
+  for (const auto& [tag, size] : sections) {
+    w.add_section(tag, std::vector<std::uint8_t>(size, 7));
+  }
+  const auto bytes = w.finish();
+  EXPECT_EQ(bytes.size(), 16 + framed);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
 TEST(CkptContainer, AtomicFileWriteReadsBack) {
   const std::string path = testing::TempDir() + "ckpt_container_io.bin";
   const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5};
@@ -373,6 +394,29 @@ TEST(CkptCampaign, SaveLoadSaveIsIdentity) {
     EXPECT_EQ(ckpt::save_campaign(*restored.runner, restored.progress), bytes)
         << "threads " << threads;
   }
+}
+
+TEST(CkptCampaign, FleetSegmentsSizeIsTheSectionSize) {
+  // The fleet-store section is sized from the segment index before it is
+  // built: spilled segments, resident ones and a dropped network's
+  // placeholders included.
+  sim::WorldConfig config = small_faulted_config(2);
+  config.mem_ceiling_mb = 1;
+  config.spill_dir = testing::TempDir() + "fleet_segments_size";
+  sim::FleetRunner runner(config);
+  runner.run_usage_week();
+  tsdb::FleetStore& store = runner.fleet_tsdb();
+  store.set_mem_ceiling(1);
+  ASSERT_FALSE(store.maybe_spill());
+  store.set_mem_ceiling(std::uint64_t{1} << 20);
+  runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
+  store.drop_network(runner.shards()[1]->id().value());
+  ASSERT_GT(store.stats().spilled_bytes, 0u);
+  ASSERT_GT(store.stats().resident_bytes, 0u);
+
+  ckpt::Buf b;
+  ASSERT_TRUE(ckpt::save_fleet_segments(b, store));
+  EXPECT_EQ(ckpt::fleet_segments_size(store), b.data().size());
 }
 
 TEST(CkptCampaign, CheckpointBytesIdenticalAcrossJobs) {
