@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -645,6 +646,9 @@ struct Parsed {
   SegmentHeader hdr;
   // Every block's rows by column id; a column the segment lacks is empty.
   Columns cols;
+  // The sum of each count column's rows, once a child block has asked for
+  // it; reset whenever the count column is decoded again.
+  std::array<std::optional<std::uint64_t>, kColumnSlots> sums{};
 };
 
 /// Consumes the rest of `w` as a stream of fixed-width packed indices into
@@ -680,21 +684,65 @@ Error unpack_indices(Walk& w, std::uint64_t rows, const std::vector<std::uint64_
   return {};
 }
 
+/// Sums a count column into `out`.
+Error checked_sum(const std::vector<std::uint64_t>& counts, std::uint64_t& out) {
+  out = 0;
+  for (const std::uint64_t v : counts) {
+    // Hard per-count cap, independent of any header field: no report
+    // carries anywhere near this many child rows, and rejecting early
+    // keeps the sum from wrapping to a value matching absent columns.
+    if (v > kMaxChildRowsPerReport) {
+      return {Status::kBadCount, "implausible per-report child count"};
+    }
+    if (out > std::numeric_limits<std::uint64_t>::max() - v) {
+      return {Status::kBadCount, "child row total overflows"};
+    }
+    out += v;
+  }
+  return {};
+}
+
+/// Refuses a block claiming more rows than its column may hold, from what
+/// the parse already has: the header's report count for a per-report or
+/// mesh column, the payload size for the MAC dictionary (each entry costs a
+/// byte), and for a child column the rows its count column's reports claim
+/// (the writer seals columns in id order, so the count column comes
+/// first), no more than the header's raw_wire_bytes (a child row costs at
+/// least one byte of the row encoding). A zero-width dictionary block
+/// decodes every row from no payload bytes, so without this bound a few
+/// crafted bytes could claim a large allocation, and each further block
+/// could claim it again.
+Error check_row_bound(const RawBlock& b, Parsed& p) {
+  const ColumnSpec& spec = kColumns[slot(b.id)];
+  if (spec.rows == Rows::kDict) {
+    if (b.rows > b.payload.size()) return {Status::kBadCount, "dictionary rows exceed its payload"};
+  } else if (spec.rows == Rows::kChild) {
+    const std::size_t count = slot(spec.count);
+    if (p.cols[count].empty()) return {Status::kBadCount, "child block before its count column"};
+    if (!p.sums[count]) {
+      std::uint64_t sum = 0;
+      if (auto err = checked_sum(p.cols[count], sum)) return err;
+      p.sums[count] = sum;
+    }
+    if (b.rows > std::min(*p.sums[count], p.hdr.raw_wire_bytes)) {
+      return {Status::kBadCount, "child block rows exceed its count column's"};
+    }
+  } else if (b.rows > p.hdr.n_reports) {
+    return {Status::kBadCount, "block rows exceed the header's reports"};
+  }
+  return {};
+}
+
 Error decode_block(const RawBlock& b, Parsed& out) {
   const std::size_t id = slot(b.id);
   if (id >= kColumnSlots || kColumns[id].kind == Kind::kNone) {
     return {Status::kMalformed, "undefined column id"};
   }
-  // Every row costs at least one byte in the row-oriented wire encoding the
-  // header's raw_wire_bytes records (itself bounded in walk_header), so a
-  // larger row count is a lie. Gating here — before any reserve() — also
-  // covers the zero-width dict case, where a constant column's empty index
-  // stream puts no payload-derived bound on rows.
-  if (b.rows > out.hdr.raw_wire_bytes) {
-    return {Status::kBadCount, "block row count exceeds raw wire size"};
-  }
+  // Before any reserve().
+  if (auto err = check_row_bound(b, out)) return err;
   std::vector<std::uint64_t>& col = out.cols[id];
   col.clear();  // a repeated column keeps its last block; validate() refuses it
+  out.sums[id].reset();
   switch (b.encoding) {
     case Encoding::kVarint:
     case Encoding::kDeltaZigzag: {
@@ -750,24 +798,6 @@ Error decode_block(const RawBlock& b, Parsed& out) {
     }
     default:
       return {Status::kMalformed, "unknown column encoding"};
-  }
-  return {};
-}
-
-/// Sums a count column into `out`.
-Error checked_sum(const std::vector<std::uint64_t>& counts, std::uint64_t& out) {
-  out = 0;
-  for (const std::uint64_t v : counts) {
-    // Hard per-count cap, independent of any header field: no report
-    // carries anywhere near this many child rows, and rejecting early
-    // keeps the sum from wrapping to a value matching absent columns.
-    if (v > kMaxChildRowsPerReport) {
-      return {Status::kBadCount, "implausible per-report child count"};
-    }
-    if (out > std::numeric_limits<std::uint64_t>::max() - v) {
-      return {Status::kBadCount, "child row total overflows"};
-    }
-    out += v;
   }
   return {};
 }
