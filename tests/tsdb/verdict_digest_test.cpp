@@ -314,9 +314,10 @@ Verdicts verdict_table() {
   return v;
 }
 
-// Pinned when validate() became a re-seal; any change to what the reader
-// accepts, how it classifies a failure, or what it decodes moves it.
-constexpr std::uint32_t kPinned = 0xc724bf28;
+// Pinned when each block's rows became bounded by its column before
+// decoding; any change to what the reader accepts, how it classifies a
+// failure, or what it decodes moves it.
+constexpr std::uint32_t kPinned = 0xec0dfe31;
 
 TEST(SegmentVerdictDigest, SeededMutantsKeepTheirVerdicts) {
   const Verdicts v = verdict_table();
