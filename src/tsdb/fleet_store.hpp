@@ -19,7 +19,8 @@
 // so spilling changes where bytes live but not any analysis output.
 //
 // Threading: seal() is pure (it touches no vault state) and may run on any
-// worker; FleetRunner seals every shard's batch in parallel. add_sealed(),
+// worker; FleetRunner seals each shard's batch in that shard's own task,
+// right after the task drained it. add_sealed(),
 // drop_network() and spill run on the orchestrating thread only, and
 // FleetRunner calls add_sealed in fleet order, so the vault's segment
 // order never depends on worker scheduling. Reads are called from the
