@@ -356,8 +356,9 @@ ClassifierImage snapshot(const classify::TwoTierClassifier& c) {
   return {c.slow_path_calls(), c.cache().stats(), c.cache().snapshot(), c.cache().capacity()};
 }
 
-void restore(Cursor&, classify::TwoTierClassifier& c, ClassifierImage& s) {
-  c.cache().restore(s.entries, s.stats);
+/// A flow listed twice is corruption.
+void restore(Cursor& cur, classify::TwoTierClassifier& c, ClassifierImage& s) {
+  if (!c.cache().restore(s.entries, s.stats)) return cur.fail();
   c.restore(s.slow_calls);
 }
 

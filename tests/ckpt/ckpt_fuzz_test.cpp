@@ -7,6 +7,7 @@
 // partially restored runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
@@ -785,6 +786,64 @@ TEST(CkptFuzz, FleetSegmentTheWriterWouldNotSealFailsTyped) {
   const auto err =
       ckpt::restore_campaign(with_first_fleet_segment(valid, with_undefined_column), 1, out);
   EXPECT_TRUE(err) << "a segment the writer would not seal restored";
+  EXPECT_EQ(out.runner, nullptr);
+}
+
+/// The checkpoint encoding of one verdict-cache entry (state.cpp's field
+/// list: the MAC, both addresses, ports plus protocol, verdict, count).
+std::vector<std::uint8_t> encoded_entry(const classify::VerdictCache::SavedEntry& e) {
+  std::vector<std::uint8_t> out;
+  wire::put_varint(out, e.key.client_mac);
+  wire::put_varint(out, (std::uint64_t{e.key.src_addr} << 32) | e.key.dst_addr);
+  wire::put_varint(out, (std::uint64_t{e.key.src_port} << 32) |
+                            (std::uint64_t{e.key.dst_port} << 16) | e.key.protocol);
+  wire::put_varint(out, static_cast<std::uint64_t>(e.verdict));
+  wire::put_varint(out, e.slow_seen);
+  return out;
+}
+
+TEST(CkptFuzz, VerdictCacheListingAFlowTwiceFailsTyped) {
+  // A cache holding one flow twice cannot come from a saved campaign. Save
+  // a shard whose cache holds two flows one MAC bit apart, rewrite the
+  // second's key into the first's with the CRC re-stamped, and the
+  // classifier's restore must refuse it as malformed.
+  sim::WorldConfig config;
+  config.fleet.epoch = deploy::Epoch::kJan2015;
+  config.fleet.network_count = 3;
+  config.fleet.seed = 31;
+  config.seed = 32;
+  config.client_scale = 0.2;
+  sim::FleetRunner runner(config);
+  runner.run_usage_week();
+  runner.harvest();
+  auto& cache = runner.shards()[0]->classifier().cache();
+  const classify::VerdictCache::SavedEntry first{
+      {0x0a1b2c3d4e5eULL, 0xC0A80001u, 0x08080808u, 40000, 443, 6}, classify::AppId::kMiscWeb, 1};
+  auto second = first;
+  second.key.client_mac ^= 1;
+  ASSERT_TRUE(cache.restore({first, second}, cache.stats()));
+  ckpt::CampaignProgress progress;
+  progress.label = "fuzz-duplicate-flow";
+  progress.phases_done = {"usage_week", "harvest"};
+  const auto valid = ckpt::save_campaign(runner, progress);
+  ckpt::RestoredCampaign same;
+  ASSERT_FALSE(ckpt::restore_campaign(valid, 1, same));
+
+  const auto from = encoded_entry(second);
+  const auto to = encoded_entry(first);
+  ASSERT_EQ(from.size(), to.size());
+  std::size_t rewritten = 0;
+  const auto mutated = with_shard_payload(valid, 0, [&](std::vector<std::uint8_t>& payload) {
+    for (auto it = std::search(payload.begin(), payload.end(), from.begin(), from.end());
+         it != payload.end(); it = std::search(it, payload.end(), from.begin(), from.end())) {
+      it = std::copy(to.begin(), to.end(), it);
+      ++rewritten;
+    }
+  });
+  ASSERT_EQ(rewritten, 1u);
+  ckpt::RestoredCampaign out;
+  const auto err = ckpt::restore_campaign(mutated, 1, out);
+  EXPECT_EQ(err.status, ckpt::Status::kMalformed) << err.detail;
   EXPECT_EQ(out.runner, nullptr);
 }
 
