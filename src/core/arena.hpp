@@ -1,19 +1,16 @@
-// A small bump arena for per-window scratch memory.
+// Bump-pointer arena for per-phase scratch allocations.
 //
-// The fleet inner loop produces short-lived containers in bursts — usage
-// rows while a shard simulates a week, pending events in the discrete-event
-// engine, decode scratch at harvest — whose lifetimes all end at the next
-// harvest window boundary. A bump allocator turns that churn into pointer
-// arithmetic: allocation is an offset add, and reset() reclaims everything
-// at once while keeping the largest chunk, so steady state allocates no new
-// memory from the system at all.
+// A shard's usage week builds its row columns in bursts: every flow of
+// every device appends a row, and the columns die together once the week's
+// reports are built. A bump allocator turns that churn into pointer
+// arithmetic: allocation is an offset add, deallocation is a no-op, and
+// the arena's destruction returns every chunk at once.
 //
 // Lifetime rules (see DESIGN.md §4f):
-//   * Memory handed out by an Arena is valid until the next reset() or the
-//     arena's destruction, whichever comes first.
-//   * Containers using ArenaAllocator must be cleared/destroyed before
-//     reset() — reset() does not run destructors.
-//   * Arenas are single-threaded by design; each shard/worker owns its own.
+//   * Memory handed out by an Arena is valid until the arena is destroyed.
+//   * Containers using ArenaAllocator must be destroyed before their arena
+//     (declare the arena first).
+//   * Arenas are single-threaded by design; each owner keeps its own.
 #pragma once
 
 #include <cstddef>
@@ -47,27 +44,8 @@ class Arena {
     return current_ + offset;
   }
 
-  /// Reclaims every allocation at once. The largest chunk is kept so a
-  /// steady-state window re-runs entirely inside recycled memory; the rest
-  /// are returned to the system.
-  void reset() {
-    if (chunks_.size() > 1) {
-      // Keep only the newest (largest — growth is geometric) chunk.
-      auto keep = std::move(chunks_.back());
-      chunks_.clear();
-      chunks_.push_back(std::move(keep));
-    }
-    if (!chunks_.empty()) {
-      current_ = chunks_.back().data.get();
-      capacity_ = chunks_.back().size;
-    }
-    used_ = 0;
-    ++resets_;
-  }
-
   /// Total bytes handed out since construction (diagnostics).
   [[nodiscard]] std::uint64_t bytes_served() const { return bytes_served_; }
-  [[nodiscard]] std::uint64_t resets() const { return resets_; }
   /// Bytes currently held from the system.
   [[nodiscard]] std::size_t capacity() const {
     std::size_t total = 0;
@@ -92,7 +70,8 @@ class Arena {
   void grow(std::size_t at_least) {
     std::size_t next = capacity_ > 0 ? capacity_ * 2 : min_chunk_;
     while (next < at_least) next *= 2;
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(next), next});
+    // Uninitialized: a bump arena never reads a byte it did not write.
+    chunks_.push_back(Chunk{std::make_unique_for_overwrite<std::byte[]>(next), next});
     current_ = chunks_.back().data.get();
     capacity_ = next;
     used_ = 0;
@@ -104,12 +83,11 @@ class Arena {
   std::size_t capacity_ = 0;
   std::size_t used_ = 0;
   std::uint64_t bytes_served_ = 0;
-  std::uint64_t resets_ = 0;
 };
 
 /// Minimal std-compatible allocator over an Arena. deallocate() is a no-op;
-/// memory comes back at Arena::reset(). Suitable for scratch containers
-/// whose lifetime is bounded by a harvest window.
+/// memory comes back when the arena is destroyed. Suitable for scratch
+/// containers that die with one phase.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -122,7 +100,7 @@ class ArenaAllocator {
   [[nodiscard]] T* allocate(std::size_t n) {
     return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
   }
-  void deallocate(T*, std::size_t) {}  // reclaimed wholesale by Arena::reset()
+  void deallocate(T*, std::size_t) {}  // reclaimed wholesale with the arena
 
   [[nodiscard]] Arena* arena() const { return arena_; }
 

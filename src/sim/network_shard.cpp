@@ -6,6 +6,7 @@
 
 #include "classify/dhcp.hpp"
 #include "classify/oui.hpp"
+#include "core/arena.hpp"
 #include "failsafe/failpoint.hpp"
 #include "classify/user_agent.hpp"
 #include "mac/beacon_frame.hpp"
@@ -568,9 +569,9 @@ void NetworkShard::run_usage_week(int reports_per_week,
   // that carried the traffic. Struct-of-arrays, indexed by AP position (not
   // a map keyed by AP id): the report loop below re-walks every row once
   // per reporting period touching two or three columns per pass, so the
-  // columns keep those passes dense. Backed by the shard arena — the rows
-  // die when the week's reports are built, and reset() below recycles the
-  // memory for the next campaign.
+  // columns keep those passes dense. Backed by a week-scoped arena — the
+  // rows die when the week's reports are built, and the arena with them, so
+  // no shard carries its week's scratch into later phases.
   struct RowColumns {
     core::ArenaVector<MacAddress> mac;
     core::ArenaVector<classify::OsType> os;
@@ -596,14 +597,14 @@ void NetworkShard::run_usage_week(int reports_per_week,
     [[nodiscard]] std::size_t size() const { return mac.size(); }
   };
 
-  {
   // Allocation-pressure site: arms as action=oom to model the arena build
   // OOMing under a pathological week (the supervisor catches bad_alloc like
   // any other shard failure).
   failsafe::failpoint("shard.alloc");
+  core::Arena arena;  // declared before the columns, so it outlives them
   std::vector<RowColumns> rows_by_ap;
   rows_by_ap.reserve(aps_.size());
-  for (std::size_t i = 0; i < aps_.size(); ++i) rows_by_ap.emplace_back(arena_);
+  for (std::size_t i = 0; i < aps_.size(); ++i) rows_by_ap.emplace_back(arena);
 
   const auto cache_before = classifier_.cache().stats();
   const auto slow_before = classifier_.slow_path_calls();
@@ -780,8 +781,6 @@ void NetworkShard::run_usage_week(int reports_per_week,
     }
     poll_mid_campaign(t_us);
   }
-  }  // row columns die here ...
-  arena_.reset();  // ... so the arena can recycle their memory wholesale
 }
 
 void NetworkShard::snapshot_clients(SimTime t) {

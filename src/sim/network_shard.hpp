@@ -16,7 +16,6 @@
 
 #include "backend/poller.hpp"
 #include "backend/store.hpp"
-#include "core/arena.hpp"
 #include "classify/verdict_cache.hpp"
 #include "deploy/generator.hpp"
 #include "fault/injector.hpp"
@@ -255,9 +254,6 @@ class NetworkShard {
   telemetry::MetricsRegistry metrics_;
   telemetry::FlightRecorder recorder_;
   classify::TwoTierClassifier classifier_;
-  /// Scratch arena for the usage-week row columns; reset once the rows have
-  /// been folded into reports, so every week reruns in recycled memory.
-  core::Arena arena_;
   std::size_t client_count_ = 0;
   std::uint64_t flows_classified_ = 0;
   std::uint64_t flows_misclassified_ = 0;

@@ -1,6 +1,6 @@
-// Bump-arena semantics: alignment, growth, wholesale reset with chunk
-// recycling, and the std-allocator adapter (see DESIGN.md §4f lifetime
-// rules — memory is valid until reset(), deallocate() is a no-op).
+// Bump-arena semantics: alignment, growth, and the std-allocator adapter
+// (see DESIGN.md §4f lifetime rules — memory is valid until the arena is
+// destroyed, deallocate() is a no-op).
 #include "core/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -49,26 +49,6 @@ TEST(Arena, OversizeRequestGetsDedicatedChunk) {
   EXPECT_GE(arena.capacity(), 10'000u);
 }
 
-TEST(Arena, ResetRecyclesLargestChunk) {
-  Arena arena(64);
-  for (int i = 0; i < 50; ++i) (void)arena.allocate(100);
-  const std::size_t grown_capacity = arena.capacity();
-  arena.reset();
-  EXPECT_EQ(arena.resets(), 1u);
-  // Reset keeps only the newest (largest) chunk — capacity shrinks to it,
-  // but stays big enough that a steady-state window re-runs allocation-free.
-  EXPECT_LE(arena.capacity(), grown_capacity);
-  EXPECT_GT(arena.capacity(), 0u);
-  const std::size_t kept = arena.capacity();
-  // A same-sized second window must run entirely inside the kept chunk.
-  std::size_t burst = 0;
-  while (burst + 100 <= kept) {
-    (void)arena.allocate(100, 1);
-    burst += 100;
-  }
-  EXPECT_EQ(arena.capacity(), kept);
-}
-
 TEST(Arena, ArenaVectorUsesArenaMemory) {
   Arena arena(1024);
   const std::uint64_t before = arena.bytes_served();
@@ -77,9 +57,6 @@ TEST(Arena, ArenaVectorUsesArenaMemory) {
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_GT(arena.bytes_served(), before);
   for (int i = 0; i < 100; ++i) ASSERT_EQ(v[i], i);
-  // Lifetime rule: containers are destroyed/cleared before reset().
-  v = ArenaVector<int>{ArenaAllocator<int>(arena)};
-  arena.reset();
 }
 
 TEST(Arena, AllocatorEqualityFollowsArenaIdentity) {
