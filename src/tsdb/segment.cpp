@@ -116,6 +116,13 @@ struct Block {
   std::vector<std::uint8_t> payload = {};
 };
 
+/// Bytes append_block writes for `b`.
+std::size_t framed_size(const Block& b) {
+  return 2 + wire::varint_size(b.rows) + wire::varint_size(wire::zigzag_encode(b.min)) +
+         wire::varint_size(wire::zigzag_encode(b.max)) + wire::varint_size(b.payload.size()) +
+         b.payload.size() + 4;
+}
+
 void append_block(std::vector<std::uint8_t>& out, const Block& b) {
   out.push_back(static_cast<std::uint8_t>(b.id));
   out.push_back(static_cast<std::uint8_t>(b.encoding));
@@ -330,8 +337,14 @@ std::vector<std::uint8_t> seal_columns(std::uint32_t network_id, std::uint32_t b
   std::uint64_t n_aps = 0;
   for (std::size_t i = 0; i < aps.size(); ++i) n_aps += i == 0 || aps[i] != aps[i - 1];
 
+  // Sized exactly before anything is written, so the sealed buffer holds
+  // no slack for the store to keep.
+  std::size_t size = kMagic.size() + 12 + wire::varint_size(aps.size()) +
+                     wire::varint_size(n_aps) + wire::varint_size(raw_wire_bytes) +
+                     wire::varint_size(blocks.size()) + 4;
+  for (const Block& b : blocks) size += framed_size(b);
   std::vector<std::uint8_t> out;
-  out.reserve(64);
+  out.reserve(size);
   for (const std::uint8_t m : kMagic) out.push_back(m);
   put_u32le(out, kFormatVersion);
   put_u32le(out, network_id);

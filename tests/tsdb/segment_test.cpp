@@ -171,6 +171,18 @@ TEST(Segment, EmptySegmentSealsAndValidates) {
   EXPECT_EQ(visits, 0);
 }
 
+TEST(Segment, SealAllocatesExactlyTheSegmentsBytes) {
+  // The store keeps the sealed vector as it comes back, so any capacity
+  // past size() would stay resident with it.
+  for (const auto& [aps, per_ap] : {std::pair{0, 0}, std::pair{1, 1}, std::pair{5, 3},
+                                    std::pair{8, 12}, std::pair{40, 6}}) {
+    tsdb::SegmentWriter writer(7, 0);
+    for (const auto& r : make_batch(9, aps, per_ap)) writer.add(r);
+    const auto bytes = writer.seal();
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << aps << " APs x " << per_ap << " reports";
+  }
+}
+
 TEST(Segment, ValidateAcceptsWhatForEachAccepts) {
   const auto bytes = seal_batch(make_batch(6, 2, 2));
   EXPECT_FALSE(tsdb::SegmentReader::validate(bytes));
