@@ -424,12 +424,12 @@ EOF
   # The ceiling must bound something: a 300-network campaign under an
   # 8 MiB ceiling drains and seals each phase's batch in its shard's task
   # and spills sealed segments, so it must peak at no more than 0.9x the
-  # same campaign without a ceiling (about 0.80x; a build whose ceiling
+  # same campaign without a ceiling (0.71-0.72x; a build whose ceiling
   # does nothing measures 0.99-1.00x). And the harvest without a ceiling
   # seals each shard in its own task too, so it must peak at no more than
-  # 1.3x the ceiling run (about 1.25x; staging the whole fleet's rows
-  # before sealing measured 1.52x). Each run is its own child, its peak
-  # RSS read from its own rusage.
+  # 1.6x the ceiling run (1.38-1.41x; staging the whole fleet's rows
+  # before sealing measures 1.94-1.98x). Each run is its own child, its
+  # peak RSS read from its own rusage.
   if command -v python3 > /dev/null 2>&1; then
     python3 - "${dir}" << 'EOF'
 import os, subprocess, sys
@@ -450,10 +450,10 @@ ceiling_kb = peak_kb("bound-ceiling",
 free_kb = peak_kb("bound-none", [])
 ratio = ceiling_kb / free_kb
 print(f"fullscale smoke: 300 networks peak RSS {ceiling_kb} KB with an 8 MiB ceiling, "
-      f"{free_kb} KB without ({ratio:.2f}x, bound 0.90x; inverse {1 / ratio:.2f}x, bound 1.30x)")
+      f"{free_kb} KB without ({ratio:.2f}x, bound 0.90x; inverse {1 / ratio:.2f}x, bound 1.60x)")
 if ratio > 0.9:
     sys.exit("fullscale smoke: the 8 MiB ceiling does not bound the campaign's peak RSS")
-if free_kb > 1.3 * ceiling_kb:
+if free_kb > 1.6 * ceiling_kb:
     sys.exit("fullscale smoke: the harvest without a ceiling stages more than its workers' rows")
 EOF
   else
