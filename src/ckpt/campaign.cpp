@@ -1,9 +1,13 @@
 #include "ckpt/campaign.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "ckpt/state.hpp"
 #include "failsafe/failpoint.hpp"
+#include "tsdb/fleet_store.hpp"
 
 namespace wlm::ckpt {
 
@@ -15,6 +19,48 @@ Error section_error(const Cursor& c, const std::string& what) {
   // with a failed load is a config mismatch.
   if (!c.ok()) return {Status::kMalformed, what + ": malformed payload"};
   return {Status::kBadConfig, what + ": inconsistent with the rebuilt world"};
+}
+
+/// Adopts every kTsdbSegments payload into the rebuilt runner's vault, in
+/// file order, then checks the adopted totals against the kFleetStore
+/// summary. A segment validate() refuses is malformed; a valid segment of a
+/// network the rebuilt fleet does not have is a config mismatch.
+Error restore_vault(const Reader& reader, sim::FleetRunner& runner) {
+  const auto payload = reader.find(SectionTag::kFleetStore);
+  if (!payload) return {Status::kMalformed, "missing fleet store section"};
+  Cursor c(*payload);
+  VaultSummary summary;
+  if (!load(c, summary) || !c.at_end()) {
+    return {Status::kMalformed, "fleet store: malformed payload"};
+  }
+  const auto segments = reader.find_all(SectionTag::kTsdbSegments);
+  if (segments.size() != summary.segments) {
+    return {Status::kMalformed, "fleet store: " + std::to_string(segments.size()) +
+                                    " segment sections, the summary claims " +
+                                    std::to_string(summary.segments)};
+  }
+  std::vector<std::uint32_t> networks;
+  for (const auto& shard : runner.shards()) networks.push_back(shard->id().value());
+  std::sort(networks.begin(), networks.end());
+  tsdb::FleetStore& vault = runner.fleet_tsdb();
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const std::string what = "segment " + std::to_string(i);
+    if (const auto err = vault.adopt_segment(segments[i])) {
+      return {Status::kMalformed, what + ": " + tsdb::status_name(err.status)};
+    }
+    const std::uint32_t network = vault.info(vault.segment_count() - 1).network_id;
+    if (!std::binary_search(networks.begin(), networks.end(), network)) {
+      return {Status::kBadConfig,
+              what + ": network " + std::to_string(network) + " is not in the rebuilt fleet"};
+    }
+  }
+  if (vault.stats().reports != summary.reports) {
+    return {Status::kMalformed, "fleet store: the segments hold " +
+                                    std::to_string(vault.stats().reports) +
+                                    " reports, the summary claims " +
+                                    std::to_string(summary.reports)};
+  }
+  return {};
 }
 
 }  // namespace
@@ -33,23 +79,29 @@ std::vector<std::uint8_t> save_campaign(sim::FleetRunner& runner,
   save(config, runner.config());
   w.add_section(SectionTag::kConfig, config.take());
 
-  // v4: the harvested fleet serializes as its sealed columnar segments —
-  // no row materialization, and spilled segments are pulled back from disk
-  // so the checkpoint stands alone. If a spill file has become unreadable,
-  // the section keeps its leading report total but carries zero segments:
-  // any attempt to restore then fails the count cross-check loudly instead
-  // of silently resuming without the harvested reports. The section is
-  // sized from the segment index before it is built, and the container
-  // before it is appended, so neither grows by doubling.
-  Buf fleet_store;
-  fleet_store.reserve(fleet_segments_size(runner.fleet_tsdb()));
-  if (!save_fleet_segments(fleet_store, runner.fleet_tsdb())) {
-    fleet_store = Buf{};
-    fleet_store.u64(runner.fleet_tsdb().stats().reports);
-    fleet_store.u64(0);  // zero segments: poisoned on purpose
+  // v8: the vault travels exactly as a spill file holds it, one
+  // kTsdbSegments section per live segment in vault order, behind a
+  // kFleetStore summary of what they add up to. Each segment is framed
+  // straight from the vault (spilled ones read back, so the checkpoint
+  // stands alone) into a container sized for them from the segment index.
+  // A spill file that has become unreadable stops the sections short of the
+  // summary, so any restore fails instead of resuming without its reports.
+  const tsdb::FleetStore& vault = runner.fleet_tsdb();
+  VaultSummary summary{vault.stats().reports, 0};
+  std::size_t framed = 0;
+  for (std::size_t i = 0; i < vault.segment_count(); ++i) {
+    const auto info = vault.info(i);
+    if (info.size == 0) continue;  // a dropped network's placeholder
+    summary.segments += 1;
+    framed += Writer::framed_size(SectionTag::kTsdbSegments, info.size);
   }
-  w.reserve(Writer::framed_size(SectionTag::kFleetStore, fleet_store.data().size()));
+  Buf fleet_store;
+  save(fleet_store, summary);
+  w.reserve(Writer::framed_size(SectionTag::kFleetStore, fleet_store.data().size()) + framed);
   w.add_section(SectionTag::kFleetStore, fleet_store.take());
+  (void)vault.for_each_segment([&w](std::size_t, std::span<const std::uint8_t> segment) {
+    w.add_section(SectionTag::kTsdbSegments, segment);
+  });
 
   Buf fleet_telemetry;
   save(fleet_telemetry, runner.metrics());
@@ -114,14 +166,7 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
     }
   }
 
-  if (const auto payload = reader.find(SectionTag::kFleetStore)) {
-    Cursor c(*payload);
-    if (!load_fleet_segments(c, runner->fleet_tsdb()) || !c.at_end()) {
-      return section_error(c, "fleet store");
-    }
-  } else {
-    return {Status::kMalformed, "missing fleet store section"};
-  }
+  if (auto err = restore_vault(reader, *runner)) return err;
 
   if (const auto payload = reader.find(SectionTag::kFleetTelemetry)) {
     Cursor c(*payload);

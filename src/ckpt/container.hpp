@@ -59,7 +59,7 @@ struct Error {
 enum class SectionTag : std::uint64_t {
   kMeta = 1,            // campaign progress + ledger snapshot (cross-check)
   kConfig = 2,          // WorldConfig: everything reconstruction needs
-  kFleetStore = 3,      // merged backend store (post-harvest state)
+  kFleetStore = 3,      // segment vault summary: report total, segment count
   kFleetTelemetry = 4,  // merged metrics + trace + sim-hours
   kShard = 5,           // repeated, one per network, fleet order
   kSupervision = 6,     // degraded-run manifest (supervision incidents)
@@ -88,8 +88,13 @@ enum class SectionTag : std::uint64_t {
 // shorthand (FaultSpec carries the flap fraction), the classifier mode, the
 // verdict-cache capacity and the retry backoff, and shard sections drop the
 // classifier mode word: production runs one classifier with a fixed cache
-// bound and a fixed backoff. Older versions fail kBadVersion.
-inline constexpr std::uint32_t kFormatVersion = 7;
+// bound and a fixed backoff. Version 8: the segment vault travels as a spill
+// file holds it, one kTsdbSegments section per live segment in vault order,
+// each payload the sealed bytes alone, behind a kFleetStore summary of the
+// report total and the segment count; the per-segment record that repeated
+// each segment header's network id, batch number and report count is gone.
+// Older versions fail kBadVersion.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Append-only payload builder. Scalars are varints (zigzag for signed),
 /// doubles are 8-byte LE bit patterns (exact round-trip, no printf loss),
@@ -117,10 +122,6 @@ class Buf {
   void f64(double v, double /*lo*/, double /*hi*/) { f64(v); }
   /// A Buf never stops; Cursor::live() is the reading side's answer.
   [[nodiscard]] bool live() const { return true; }
-
-  /// Makes room for `bytes` more payload bytes, so a payload whose size is
-  /// known up front is written into one allocation of its final size.
-  void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return out_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }

@@ -10,7 +10,6 @@
 #include "fault/spec.hpp"
 #include "sim/link.hpp"
 #include "wire/messages.hpp"
-#include "wire/varint.hpp"
 
 // The field list of every checkpointed type ("field lists" in
 // ckpt/container.hpp; the checks' placement is DESIGN.md §4d's). Classes
@@ -235,6 +234,11 @@ void fields(Io& io, S& spans) {
   seq(io, spans, 5);
 }
 
+template <class Io, Is<VaultSummary> S>
+void fields(Io& io, S& s) {
+  list(io, s.reports, s.segments);
+}
+
 template <class Io, Is<CampaignProgress> S>
 void fields(Io& io, S& p) {
   io.str(p.label);
@@ -451,28 +455,6 @@ struct WireReport {
   }
 };
 
-/// One live sealed segment and the envelope its own header must match.
-struct SegmentRecord {
-  std::uint64_t network_id = 0;
-  std::uint64_t batch_seq = 0;
-  std::uint64_t n_reports = 0;
-  std::vector<std::uint8_t> bytes;
-};
-
-template <class Io, Is<SegmentRecord> S>
-void fields(Io& io, S& s) {
-  list(io, s.network_id, s.batch_seq, s.n_reports, s.bytes);
-  if constexpr (kLoading<Io>) {
-    // A mismatch means the container was stitched together.
-    tsdb::SegmentHeader hdr;
-    if (io.live() && (tsdb::SegmentReader::read_header(s.bytes, hdr) ||
-                      hdr.network_id != s.network_id || hdr.batch_seq != s.batch_seq ||
-                      hdr.n_reports != s.n_reports)) {
-      io.fail();
-    }
-  }
-}
-
 /// Mesh routes must describe a topology the rebuilt membership allows.
 bool route_ok(const mesh::RouteEntry& r, std::size_t i, const std::vector<bool>& is_mesh) {
   if (r.is_gateway == is_mesh[i]) return false;
@@ -528,71 +510,6 @@ bool load(Cursor& c, backend::ReportStore& store) {
   if (!c.live()) return false;
   for (auto& [ap, reports] : buckets) {
     for (auto& report : reports) store.add(std::move(report));
-  }
-  return true;
-}
-
-// --- fleet segment vault ---
-
-bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store) {
-  // The report total leads the section so the restore side can prove no
-  // segment went missing (e.g. a spill file that became unreadable between
-  // spill and save would otherwise vanish silently).
-  b.u64(store.stats().reports);
-  // Count only live segments: drop_network leaves zeroed placeholder
-  // records behind (spill offsets of later segments must not shift), and a
-  // quarantined network's batches must not resurface through a restore.
-  std::uint64_t live = 0;
-  for (std::size_t i = 0; i < store.segment_count(); ++i) {
-    if (store.info(i).size > 0) ++live;
-  }
-  b.u64(live);
-  // One walk reads every spilled segment back, each spill file opened once.
-  SegmentRecord record;
-  const tsdb::Error err =
-      store.for_each_segment([&](std::size_t i, std::span<const std::uint8_t> bytes) {
-        const auto info = store.info(i);
-        record.network_id = info.network_id;
-        record.batch_seq = info.batch_seq;
-        record.n_reports = info.n_reports;
-        record.bytes.assign(bytes.begin(), bytes.end());
-        fields(b, record);
-      });
-  return err.ok();  // not ok: a spill file became unreadable
-}
-
-std::size_t fleet_segments_size(const tsdb::FleetStore& store) {
-  std::uint64_t live = 0;
-  std::size_t records = 0;
-  for (std::size_t i = 0; i < store.segment_count(); ++i) {
-    const auto info = store.info(i);
-    if (info.size == 0) continue;
-    ++live;
-    records += wire::varint_size(info.network_id) + wire::varint_size(info.batch_seq) +
-               wire::varint_size(info.n_reports) + wire::varint_size(info.size) + info.size;
-  }
-  return wire::varint_size(store.stats().reports) + wire::varint_size(live) + records;
-}
-
-bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store) {
-  std::uint64_t expected_reports = 0;
-  c.u64(expected_reports);
-  std::vector<SegmentRecord> records;
-  seq(c, records, 24);  // each segment costs at least its header
-  if (!c.live()) return false;
-  // All-or-nothing: adopt (which re-validates every CRC) only after the
-  // whole section parsed, and the adopted total must match the leading
-  // claim — a shortfall means a segment was lost between spill and save.
-  for (auto& r : records) {
-    if (store.adopt_segment(std::move(r.bytes))) {
-      store.clear();
-      return false;
-    }
-  }
-  if (store.stats().reports != expected_reports) {
-    store.clear();
-    c.fail();
-    return false;
   }
   return true;
 }
@@ -716,6 +633,8 @@ void save(Buf& b, const sim::WorldConfig& config) { fields(b, config); }
 bool load(Cursor& c, sim::WorldConfig& out) { return load_into(c, out); }
 void save(Buf& b, const failsafe::DegradedRunManifest& m) { fields(b, m); }
 bool load(Cursor& c, failsafe::DegradedRunManifest& out) { return load_into(c, out); }
+void save(Buf& b, const VaultSummary& s) { fields(b, s); }
+bool load(Cursor& c, VaultSummary& out) { return load_into(c, out); }
 void save_shard_state(Buf& b, sim::NetworkShard& shard) { shard_fields(b, shard); }
 bool load_shard_state(Cursor& c, sim::NetworkShard& shard) { return shard_fields(c, shard); }
 

@@ -36,7 +36,6 @@
 #include "sim/fleet_runner.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "tsdb/fleet_store.hpp"
 
 namespace wlm::ckpt {
 
@@ -82,16 +81,14 @@ void save(Buf& b, const failsafe::DegradedRunManifest& manifest);
 
 // --- sections with their own shape ---
 
-// Fleet segment vault: every live sealed segment (network id, batch seq,
-// report count, segment bytes), fleet order. Spilled segments are pulled
-// back from their spill file, so the checkpoint is self-contained; save
-// returns false if a spill file has gone unreadable. load adopts each
-// segment through its own header/CRC validation.
-[[nodiscard]] bool save_fleet_segments(Buf& b, const tsdb::FleetStore& store);
-/// The payload bytes save_fleet_segments writes for `store` when every
-/// spilled segment reads back, computed from the segment index alone.
-[[nodiscard]] std::size_t fleet_segments_size(const tsdb::FleetStore& store);
-[[nodiscard]] bool load_fleet_segments(Cursor& c, tsdb::FleetStore& store);
+// The kFleetStore section: what the vault's kTsdbSegments sections, one per
+// live segment, must add up to on restore.
+struct VaultSummary {
+  std::uint64_t reports = 0;
+  std::uint64_t segments = 0;
+};
+void save(Buf& b, const VaultSummary& summary);
+[[nodiscard]] bool load(Cursor& c, VaultSummary& summary);
 
 // One shard's full mutable state: the campaign container's kShard payload,
 // and (the same bytes) the supervision layer's retry snapshots. load

@@ -936,11 +936,6 @@ Error reseal(std::span<const std::uint8_t> bytes, const Parsed& p) {
 
 }  // namespace
 
-Error SegmentReader::read_header(std::span<const std::uint8_t> bytes, SegmentHeader& out) {
-  Walk w{bytes};
-  return walk_header(w, out);
-}
-
 Error SegmentReader::validate(std::span<const std::uint8_t> bytes, SegmentHeader* header,
                               std::vector<std::uint32_t>* ap_ids) {
   Parsed p;

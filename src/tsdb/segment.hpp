@@ -82,11 +82,6 @@ struct SegmentHeader {
 
 class SegmentReader {
  public:
-  /// Parses and validates the fixed header (magic, version, counts) without
-  /// touching blocks. Cheap; spill read-back uses it as a sanity gate.
-  [[nodiscard]] static Error read_header(std::span<const std::uint8_t> bytes,
-                                         SegmentHeader& out);
-
   /// Accepts exactly the writer's output: parses as for_each() does, then
   /// returns kNotCanonical unless the AP column ascends and re-sealing the
   /// decoded columns under this header reproduces `bytes`. On success fills

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ckpt/campaign.hpp"
@@ -20,6 +21,7 @@
 #include "core/checksum.hpp"
 #include "core/rng.hpp"
 #include "tsdb/format.hpp"
+#include "tsdb/segment.hpp"
 #include "wire/varint.hpp"
 
 namespace wlm {
@@ -128,11 +130,11 @@ TEST(CkptFuzz, WrongMagicAndVersionAreTypedErrors) {
 }
 
 TEST(CkptFuzz, PreviousVersionIsBadVersion) {
-  // v7 dropped the legacy config fields and the classifier mode word; a v6
-  // file must fail closed instead of being parsed with the wrong layout.
-  EXPECT_EQ(ckpt::kFormatVersion, 7u);
+  // v8 carries the segment vault as one section per segment; a v7 file
+  // must fail closed instead of being parsed with the wrong layout.
+  EXPECT_EQ(ckpt::kFormatVersion, 8u);
   auto mutated = valid_checkpoint();
-  mutated[8] = 6;  // little-endian u32 version after the 8-byte magic
+  mutated[8] = 7;  // little-endian u32 version after the 8-byte magic
   mutated[9] = mutated[10] = mutated[11] = 0;
   ckpt::RestoredCampaign out;
   const auto err = ckpt::restore_campaign(mutated, 1, out);
@@ -740,39 +742,31 @@ std::vector<std::uint8_t> with_undefined_column(std::span<const std::uint8_t> se
   return out;
 }
 
-/// Rebuilds `bytes` with the fleet-store section's first segment passed
-/// through `edit`, every CRC of the section and the container resealed.
+/// Rebuilds `bytes` with its first segment section passed through `edit`,
+/// the container's CRCs resealed.
 std::vector<std::uint8_t> with_first_fleet_segment(
     const std::vector<std::uint8_t>& bytes,
     const std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>& edit) {
   ckpt::Reader r;
   EXPECT_FALSE(r.load(bytes));
   ckpt::Writer w;
+  bool edited = false;
   for (const auto& section : r.sections()) {
-    if (section.tag != ckpt::SectionTag::kFleetStore) {
+    if (section.tag == ckpt::SectionTag::kTsdbSegments && !edited) {
+      w.add_section(section.tag, edit(section.payload));
+      edited = true;
+    } else {
       w.add_section(section.tag, section.payload);
-      continue;
     }
-    ckpt::Cursor c(section.payload);
-    ckpt::Buf b;
-    b.u64(c.u64());  // report total
-    const std::uint64_t n = c.u64();
-    EXPECT_GT(n, 0u);
-    b.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      for (int k = 0; k < 3; ++k) b.u64(c.u64());  // network, batch, reports
-      const auto segment = c.bytes();
-      b.bytes(i == 0 ? edit(segment) : std::vector<std::uint8_t>(segment.begin(), segment.end()));
-    }
-    EXPECT_TRUE(c.at_end());
-    w.add_section(section.tag, b.take());
   }
+  EXPECT_TRUE(edited) << "the checkpoint holds no segment";
   return w.finish();
 }
 
 TEST(CkptFuzz, FleetSegmentTheWriterWouldNotSealFailsTyped) {
   // Every CRC holds, so only the segment reader's validate() can refuse the
-  // adopted segment. The unedited rebuild restores, so the edit is what
+  // adopted segment: broken bytes, so kMalformed, with the reader's verdict
+  // in the detail. The unedited rebuild restores, so the edit is what
   // fails.
   const auto valid = valid_checkpoint();
   const auto unedited = [](std::span<const std::uint8_t> s) {
@@ -785,7 +779,33 @@ TEST(CkptFuzz, FleetSegmentTheWriterWouldNotSealFailsTyped) {
   ckpt::RestoredCampaign out;
   const auto err =
       ckpt::restore_campaign(with_first_fleet_segment(valid, with_undefined_column), 1, out);
-  EXPECT_TRUE(err) << "a segment the writer would not seal restored";
+  EXPECT_EQ(err.status, ckpt::Status::kMalformed) << err.detail;
+  EXPECT_EQ(err.detail, std::string("segment 0: ") + tsdb::status_name(tsdb::Status::kMalformed));
+  EXPECT_EQ(out.runner, nullptr);
+}
+
+/// `segment` filed under network `id`: the header's network id rewritten
+/// and the trailer CRC resealed, so validate() still accepts it.
+std::vector<std::uint8_t> under_network(std::span<const std::uint8_t> segment, std::uint32_t id) {
+  std::vector<std::uint8_t> out(segment.begin(), segment.end() - 4);
+  const std::size_t at = tsdb::kMagic.size() + 4;  // behind the version
+  for (std::size_t i = 0; i < 4; ++i) out[at + i] = static_cast<std::uint8_t>(id >> (8 * i));
+  append_u32le(out, crc32({out.data() + tsdb::kMagic.size(), out.size() - tsdb::kMagic.size()}));
+  return out;
+}
+
+TEST(CkptFuzz, SegmentOfANetworkTheFleetLacksFailsClosed) {
+  // A valid segment of a network the rebuilt fleet does not have: the
+  // checkpoint was stitched together, and must not restore its reports.
+  const auto valid = valid_checkpoint();
+  const auto stitched = with_first_fleet_segment(valid, [](std::span<const std::uint8_t> s) {
+    auto out = under_network(s, 999);
+    EXPECT_FALSE(tsdb::SegmentReader::validate(out)) << "the rewrite broke the segment";
+    return out;
+  });
+  ckpt::RestoredCampaign out;
+  const auto err = ckpt::restore_campaign(stitched, 1, out);
+  EXPECT_EQ(err.status, ckpt::Status::kBadConfig) << err.detail;
   EXPECT_EQ(out.runner, nullptr);
 }
 

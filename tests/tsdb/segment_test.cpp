@@ -114,7 +114,7 @@ TEST(Segment, HeaderCarriesCountsAndBaseline) {
   const auto bytes = writer.seal();
 
   tsdb::SegmentHeader header;
-  ASSERT_FALSE(tsdb::SegmentReader::read_header(bytes, header));
+  ASSERT_FALSE(tsdb::SegmentReader::validate(bytes, &header));
   EXPECT_EQ(header.network_id, 42u);
   EXPECT_EQ(header.batch_seq, 9u);
   EXPECT_EQ(header.n_reports, reports.size());
@@ -162,9 +162,8 @@ TEST(Segment, CompresssesRepeatedTelemetryAtLeastThreefold) {
 TEST(Segment, EmptySegmentSealsAndValidates) {
   tsdb::SegmentWriter writer(3, 0);
   const auto bytes = writer.seal();
-  ASSERT_FALSE(tsdb::SegmentReader::validate(bytes));
   tsdb::SegmentHeader header;
-  ASSERT_FALSE(tsdb::SegmentReader::read_header(bytes, header));
+  ASSERT_FALSE(tsdb::SegmentReader::validate(bytes, &header));
   EXPECT_EQ(header.n_reports, 0u);
   int visits = 0;
   ASSERT_FALSE(tsdb::SegmentReader::for_each(bytes, [&](wire::ApReport&&) { ++visits; }));

@@ -193,13 +193,17 @@ struct Verdicts {
 /// batch number and raw_wire_bytes, the last reframed in by the test.
 std::vector<std::uint8_t> reseal_reports(std::span<const std::uint8_t> bytes,
                                          const std::vector<wire::ApReport>& reports) {
-  tsdb::SegmentHeader header;
-  EXPECT_FALSE(tsdb::SegmentReader::read_header(bytes, header));
-  tsdb::SegmentWriter writer(header.network_id, header.batch_seq);
+  const auto u32_at = [&bytes](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) v |= std::uint32_t{bytes[at + i]} << (8 * i);
+    return v;
+  };
+  // The network id and batch number follow the magic and the version.
+  tsdb::SegmentWriter writer(u32_at(tsdb::kMagic.size() + 4), u32_at(tsdb::kMagic.size() + 8));
   for (const wire::ApReport& r : reports) writer.add(r);
   const std::vector<std::uint8_t> sealed = writer.seal();
   Layout l = parse_layout(sealed);
-  l.counts[2] = header.raw_wire_bytes;
+  l.counts[2] = parse_layout({bytes.begin(), bytes.end()}).counts[2];
   return reframe(sealed, l);
 }
 
