@@ -152,10 +152,10 @@ constexpr std::uint32_t kStreamingDigest = 0x54698462;
 // batches any ReportSource consumer sees.
 constexpr std::uint32_t kClassicRead = 0x4d160f44;
 constexpr std::uint32_t kStreamingRead = 0x6bfc3a17;
-// Pinned at the fleet-wide phase drain: the checkpoint cut after each
-// campaign under the ceiling, at any worker count.
-constexpr std::uint32_t kCkptAfterWeek = 0x9d926350;
-constexpr std::uint32_t kCkptAfterMr16 = 0x1e155593;
+// Pinned at checkpoint format v8: the checkpoint cut after each campaign
+// under the ceiling, at any worker count.
+constexpr std::uint32_t kCkptAfterWeek = 0x2a060a52;
+constexpr std::uint32_t kCkptAfterMr16 = 0x096e49a5;
 
 void expect_every_column_kind(const Digest& d) {
   EXPECT_GT(d.usage, 0u);
