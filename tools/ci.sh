@@ -235,6 +235,43 @@ ckpt_smoke() {
   kill_resume faults --networks 5 --seed 11 --faults "${faults}"
   kill_resume mobility-mesh --networks 5 --seed 11 --mobility on --mobility-steps 24 \
     --mesh-fraction 0.5 --faults "${faults}"
+  # Checkpoint bytes are spill-invariant (DESIGN.md §4h): cuts after mr16
+  # under a 1 MiB ceiling that spills and a 4096 MiB one that does not, at
+  # --jobs 1 and 4, are the same bytes. The spilled cut then resumes to the
+  # uninterrupted ceiling run's stdout and metrics.
+  local ceiling_flags=(--networks 5 --seed 11)
+  local cut="${dir}/ceiling"
+  local ceiling jobs
+  for ceiling in 1 4096; do
+    for jobs in 1 4; do
+      local tag="${ceiling}mb-j${jobs}"
+      ./build/tools/wlmctl simulate "${ceiling_flags[@]}" --jobs "${jobs}" \
+        --mem-ceiling-mb "${ceiling}" --spill-dir "${cut}-${tag}.spill" \
+        --checkpoint-out "${cut}-${tag}.wlmckpt" --halt-after-phase mr16 > /dev/null 2>&1
+      local spilled=0
+      compgen -G "${cut}-${tag}.spill/tsdb_spill_*.ckpt" > /dev/null && spilled=1
+      if [[ "${spilled}" -ne $(( ceiling == 1 )) ]]; then
+        echo "ckpt smoke: the ${ceiling} MiB ceiling cut at --jobs ${jobs} spilled=${spilled}" >&2
+        exit 1
+      fi
+      cmp "${cut}-1mb-j1.wlmckpt" "${cut}-${tag}.wlmckpt" || {
+        echo "ckpt smoke: the ${ceiling} MiB cut at --jobs ${jobs} differs from the spilled --jobs 1 cut" >&2
+        exit 1
+      }
+    done
+  done
+  ./build/tools/wlmctl simulate "${ceiling_flags[@]}" --jobs 2 --mem-ceiling-mb 1 \
+    --spill-dir "${cut}-full.spill" --metrics-out "${cut}.full.metrics" > "${cut}.full.out"
+  ./build/tools/wlmctl simulate --resume-from "${cut}-1mb-j1.wlmckpt" --jobs 4 \
+    --metrics-out "${cut}.resumed.metrics" > "${cut}.resumed.out" 2> /dev/null
+  cmp "${cut}.full.out" "${cut}.resumed.out" || {
+    echo "ckpt smoke (ceiling): resumed stdout differs from the uninterrupted run" >&2
+    exit 1
+  }
+  cmp "${cut}.full.metrics" "${cut}.resumed.metrics" || {
+    echo "ckpt smoke (ceiling): resumed metrics differ from the uninterrupted run" >&2
+    exit 1
+  }
   # A truncated checkpoint must fail with a diagnostic, not a crash.
   head -c 40 "${dir}/faults.cut1.wlmckpt" > "${dir}/torn.wlmckpt"
   if ./build/tools/wlmctl simulate --resume-from "${dir}/torn.wlmckpt" \
@@ -254,8 +291,8 @@ ckpt_smoke() {
     echo "ckpt smoke: --faults outage_rate=1e12 exited ${rc}, want 2" >&2
     exit 1
   fi
-  echo "ckpt smoke: kill/resume byte-identical (faults; mobility+mesh), cut files" \
-    "jobs-independent, torn checkpoint fails closed, oversized fault rate exits 2"
+  echo "ckpt smoke: kill/resume byte-identical (faults; mobility+mesh; spilled), cut files" \
+    "jobs- and spill-independent, torn checkpoint fails closed, oversized fault rate exits 2"
 }
 ckpt_smoke
 
