@@ -233,17 +233,6 @@ TEST(FleetStore, DropNetworkLeavesTheStatsOfAVaultThatNeverHadIt) {
   EXPECT_EQ(got.compression_ratio(), want.compression_ratio());
 }
 
-TEST(FleetStore, ClearResetsEverything) {
-  Fixture f = make_fixture();
-  f.fleet.clear();
-  EXPECT_EQ(f.fleet.segment_count(), 0u);
-  EXPECT_EQ(f.fleet.report_count(), 0u);
-  EXPECT_EQ(f.fleet.stats().segment_bytes(), 0u);
-  int visits = 0;
-  f.fleet.for_each([&](const wire::ApReport&) { ++visits; });
-  EXPECT_EQ(visits, 0);
-}
-
 TEST(FleetStore, BatchSequencesAdvancePerNetwork) {
   tsdb::FleetStore fleet;
   fleet.append_store(5, make_store(10, 2, 2, 1));
